@@ -32,6 +32,21 @@
 //! scenario all warm hits. Finer-grained sweep locking (per-wave windows)
 //! is future work.
 //!
+//! A thread that multiplexes many clients (the session server's event
+//! loop) must not *sleep* on that lock, or one scenario's sweep stalls
+//! every scenario it serves. So a sweep is announced before it is queued:
+//! [`SharedBasisStore::announce_sweep`] raises an in-flight mark beside the
+//! lock, the returned guard lowers it once the sweep has released the lock,
+//! and [`SharedBasisStore::sweep_in_flight`] lets the multiplexer set a
+//! same-scenario client aside instead of locking (everything a session is
+//! *attached* with — [`SharedBasisStore::generation`],
+//! [`SharedBasisStore::n_shards`] — reads no lock at all). The mark is
+//! advisory, not a second lock: raised and checked on one thread it is
+//! exact; a thread that checks, sees no mark and then locks can still lose
+//! the race against a sweep announced on *another* thread in that
+//! sub-microsecond window, and then waits as the contract above says —
+//! correct, just slow for that one sweep.
+//!
 //! ## Generations
 //!
 //! Replacing the store wholesale (the server's `LOAD` command) invalidates
@@ -41,6 +56,7 @@
 //! of dereferencing stale ids.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::basis::snapshot::SnapshotError;
@@ -83,17 +99,35 @@ fn publish_bases(store: &ShardedBasisStore) {
     }
 }
 
-/// Interior of a [`SharedBasisStore`]: the store plus its replacement
-/// generation.
+/// Interior of a [`SharedBasisStore`].
 struct Inner {
-    generation: u64,
-    store: ShardedBasisStore,
+    store: RwLock<ShardedBasisStore>,
+    /// Replacement generation. Written only under the write lock, so a load
+    /// made while holding either lock names exactly the store behind it.
+    generation: AtomicU64,
+    /// One shard per output column, fixed for the handle's lifetime
+    /// ([`SharedBasisStore::replace`] keeps it).
+    n_shards: usize,
+    /// Sweeps announced and not yet finished (see the module docs).
+    sweeps: AtomicUsize,
 }
 
 /// A cheaply-cloneable handle to one warm [`ShardedBasisStore`] shared by
 /// any number of sweeps and interactive sessions.
 pub struct SharedBasisStore {
-    inner: Arc<RwLock<Inner>>,
+    inner: Arc<Inner>,
+}
+
+/// The raised in-flight mark of one announced sweep (see
+/// [`SharedBasisStore::announce_sweep`]); dropping it lowers the mark.
+pub struct SweepInFlight {
+    inner: Arc<Inner>,
+}
+
+impl Drop for SweepInFlight {
+    fn drop(&mut self) {
+        self.inner.sweeps.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl Clone for SharedBasisStore {
@@ -104,10 +138,9 @@ impl Clone for SharedBasisStore {
 
 impl std::fmt::Debug for SharedBasisStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.read();
         f.debug_struct("SharedBasisStore")
-            .field("generation", &inner.generation)
-            .field("bases_per_column", &inner.store.bases_per_column())
+            .field("generation", &self.generation())
+            .field("bases_per_column", &self.bases_per_column())
             .field("handles", &Arc::strong_count(&self.inner))
             .finish()
     }
@@ -122,7 +155,28 @@ impl SharedBasisStore {
     /// Wrap an existing store (e.g. one loaded from a snapshot) for sharing.
     pub fn from_store(store: ShardedBasisStore) -> Self {
         store_obs().stores_created.inc();
-        SharedBasisStore { inner: Arc::new(RwLock::new(Inner { generation: 0, store })) }
+        SharedBasisStore {
+            inner: Arc::new(Inner {
+                n_shards: store.n_shards(),
+                store: RwLock::new(store),
+                generation: AtomicU64::new(0),
+                sweeps: AtomicUsize::new(0),
+            }),
+        }
+    }
+
+    /// Announce a sweep of this store *before* it starts waiting for the
+    /// write lock: raises the in-flight mark until the returned guard is
+    /// dropped, which must happen after the sweep released the lock.
+    pub fn announce_sweep(&self) -> SweepInFlight {
+        self.inner.sweeps.fetch_add(1, Ordering::SeqCst);
+        SweepInFlight { inner: Arc::clone(&self.inner) }
+    }
+
+    /// Whether an announced sweep holds (or is about to take) the write
+    /// lock, i.e. whether locking now means waiting out a whole sweep.
+    pub fn sweep_in_flight(&self) -> bool {
+        self.inner.sweeps.load(Ordering::SeqCst) > 0
     }
 
     /// Number of live handles to this store (sessions attached + registry).
@@ -132,24 +186,24 @@ impl SharedBasisStore {
 
     /// The replacement generation: bumped by [`Self::replace`], never by
     /// ordinary inserts/refinements. Attachments use it to notice wholesale
-    /// store swaps that invalidate their cached `BasisId`s.
+    /// store swaps that invalidate their cached `BasisId`s. Takes no lock.
     pub fn generation(&self) -> u64 {
-        self.read().generation
+        self.inner.generation.load(Ordering::SeqCst)
     }
 
-    /// Number of shards (output columns).
+    /// Number of shards (output columns). Takes no lock.
     pub fn n_shards(&self) -> usize {
-        self.read().store.n_shards()
+        self.inner.n_shards
     }
 
     /// Basis count per column.
     pub fn bases_per_column(&self) -> Vec<usize> {
-        self.read().store.bases_per_column()
+        self.read().bases_per_column()
     }
 
     /// Run `f` with shared (read-locked) access to the store.
     pub fn with_store<R>(&self, f: impl FnOnce(&ShardedBasisStore) -> R) -> R {
-        f(&self.read().store)
+        f(&self.read())
     }
 
     /// Like [`Self::with_store`], but `f` also receives the generation
@@ -158,8 +212,8 @@ impl SharedBasisStore {
     /// [`Self::generation`] call, which races with [`Self::replace`]) to
     /// decide whether their cached ids still refer to this store.
     pub fn with_store_versioned<R>(&self, f: impl FnOnce(u64, &ShardedBasisStore) -> R) -> R {
-        let inner = self.read();
-        f(inner.generation, &inner.store)
+        let store = self.read();
+        f(self.generation(), &store)
     }
 
     /// Like [`Self::with_store_mut`], but with the generation observed
@@ -168,10 +222,9 @@ impl SharedBasisStore {
         &self,
         f: impl FnOnce(u64, &mut ShardedBasisStore) -> R,
     ) -> R {
-        let mut inner = self.write();
-        let generation = inner.generation;
-        let out = f(generation, &mut inner.store);
-        publish_bases(&inner.store);
+        let mut store = self.write();
+        let out = f(self.generation(), &mut store);
+        publish_bases(&store);
         out
     }
 
@@ -180,22 +233,24 @@ impl SharedBasisStore {
     /// outside the closure; a full sweep deliberately runs inside it — see
     /// the module docs on why that serialization is load-bearing.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut ShardedBasisStore) -> R) -> R {
-        let mut inner = self.write();
-        let out = f(&mut inner.store);
-        publish_bases(&inner.store);
+        let mut store = self.write();
+        let out = f(&mut store);
+        publish_bases(&store);
         out
     }
 
     /// Replace the store wholesale (snapshot `LOAD`), returning the previous
     /// contents. Bumps the generation so attached sessions drop their now-
-    /// dangling basis links instead of dereferencing them.
+    /// dangling basis links instead of dereferencing them. The replacement
+    /// must have the same shard count (attachments index shards by column).
     pub fn replace(&self, store: ShardedBasisStore) -> ShardedBasisStore {
-        let mut inner = self.write();
-        inner.generation += 1;
-        let old = std::mem::replace(&mut inner.store, store);
+        assert_eq!(store.n_shards(), self.n_shards(), "a replacement keeps the shard count");
+        let mut current = self.write();
+        let generation = self.inner.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let old = std::mem::replace(&mut *current, store);
         store_obs().replacements.inc();
-        publish_bases(&inner.store);
-        jigsaw_obs::event!("store.replace", generation = inner.generation);
+        publish_bases(&current);
+        jigsaw_obs::event!("store.replace", generation = generation);
         old
     }
 
@@ -207,7 +262,7 @@ impl SharedBasisStore {
         family_name: &str,
     ) -> Result<Vec<u8>, SnapshotError> {
         let t0 = std::time::Instant::now();
-        let bytes = self.read().store.to_snapshot_bytes(cfg, family_name)?;
+        let bytes = self.read().to_snapshot_bytes(cfg, family_name)?;
         let obs = store_obs();
         obs.snapshot_save_us.record_duration(t0.elapsed());
         obs.snapshot_save_bytes.record(bytes.len() as u64);
@@ -218,17 +273,17 @@ impl SharedBasisStore {
     /// handle) while any other handle is alive.
     pub fn try_into_store(self) -> Result<ShardedBasisStore, SharedBasisStore> {
         match Arc::try_unwrap(self.inner) {
-            Ok(lock) => Ok(lock.into_inner().expect("shared basis store lock poisoned").store),
+            Ok(inner) => Ok(inner.store.into_inner().expect("shared basis store lock poisoned")),
             Err(inner) => Err(SharedBasisStore { inner }),
         }
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Inner> {
-        self.inner.read().expect("shared basis store lock poisoned")
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, ShardedBasisStore> {
+        self.inner.store.read().expect("shared basis store lock poisoned")
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Inner> {
-        self.inner.write().expect("shared basis store lock poisoned")
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, ShardedBasisStore> {
+        self.inner.store.write().expect("shared basis store lock poisoned")
     }
 }
 
@@ -343,6 +398,33 @@ mod tests {
         let shared = SharedBasisStore::new(1, &c, Arc::new(AffineFamily));
         insert_basis(&shared, 0, &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(shared.generation(), 0);
+    }
+
+    #[test]
+    fn sweep_mark_is_shared_by_clones_and_lowered_on_drop() {
+        let c = cfg();
+        let a = SharedBasisStore::new(1, &c, Arc::new(AffineFamily));
+        let b = a.clone();
+        assert!(!b.sweep_in_flight());
+        let first = a.announce_sweep();
+        let second = b.announce_sweep();
+        assert!(a.sweep_in_flight() && b.sweep_in_flight());
+        drop(first);
+        assert!(b.sweep_in_flight(), "one announced sweep is still running");
+        drop(second);
+        assert!(!a.sweep_in_flight());
+    }
+
+    #[test]
+    fn attachment_reads_take_no_lock() {
+        let c = cfg();
+        let shared = SharedBasisStore::new(2, &c, Arc::new(AffineFamily));
+        // Under the write lock a sweep holds, what `attach` reads still
+        // answers (a lock here would deadlock this thread).
+        shared.with_store_mut(|_| {
+            assert_eq!(shared.n_shards(), 2);
+            assert_eq!(shared.generation(), 0);
+        });
     }
 
     #[test]

@@ -48,7 +48,9 @@
 //! warm-started sweeps bit-identical to their cold counterparts.
 
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jigsaw_pdb::{OutputMetrics, PdbError};
@@ -208,6 +210,47 @@ pub fn config_fingerprint(cfg: &JigsawConfig, family_name: &str) -> u64 {
     h = fnv1a(h, &[index_tag(cfg.index)]);
     h = fnv1a(h, family_name.as_bytes());
     h
+}
+
+/// Write a snapshot file so that a failure or crash at any instant leaves
+/// either the previous file at `path` or the complete new one, never a
+/// torn mix: the bytes go to a temporary file in the same directory, are
+/// synced, and only then renamed over `path` (the directory is synced after
+/// the rename so the new name itself survives a crash). The one writer every
+/// snapshot producer — [`ShardedBasisStore::save_snapshot`], the session
+/// server's `SAVE` and its shutdown re-snapshot — goes through.
+///
+/// The temporary is named `.tmp-<pid>-<seq>`: short and independent of the
+/// target's name (so any name that could be written directly still can be),
+/// and unique per write (so two concurrent `SAVE`s of one name never share
+/// it). A failed write removes it; a process killed between create and
+/// rename leaves it behind. Such a leftover is never read — no snapshot is
+/// named `.tmp-*` — and can be deleted whenever its writer is gone.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".tmp-{}-{seq}", std::process::id()));
+    write_through(&tmp, path, bytes)
+}
+
+/// [`write_atomic`] with the temporary's path chosen by the caller.
+fn write_through(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let written = (|| {
+        let mut file = std::fs::File::create(tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(tmp, path)?;
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
+        Ok(())
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(tmp);
+    }
+    written
 }
 
 /// Byte-stream writer helpers (all little-endian).
@@ -418,7 +461,7 @@ impl ShardedBasisStore {
         path: &Path,
     ) -> Result<(), SnapshotError> {
         let bytes = self.to_snapshot_bytes(cfg, family_name)?;
-        std::fs::write(path, bytes)?;
+        write_atomic(path, &bytes)?;
         Ok(())
     }
 
@@ -631,6 +674,72 @@ mod tests {
             ShardedBasisStore::load_snapshot(&path, &c, Arc::new(AffineFamily), 2).unwrap();
         assert_eq!(loaded.bases_per_column(), s.bases_per_column());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A fresh directory per test (tests run on parallel threads).
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("jigsaw-snap-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temporary() {
+        let dir = scratch_dir("atomic");
+        let path = dir.join("store.snap");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second, longer").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second, longer");
+        assert_eq!(file_names(&dir), vec!["store.snap"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_atomic_takes_any_name_a_direct_write_takes() {
+        let dir = scratch_dir("longname");
+        let path = dir.join("s".repeat(255)); // the platform's limit
+        write_atomic(&path, b"fits").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"fits");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_write_leaves_the_previous_snapshot_loadable() {
+        let c = cfg();
+        let dir = scratch_dir("torn");
+        let path = dir.join("store.snap");
+        populated().save_snapshot(&c, "affine", &path).unwrap();
+        let newer = ShardedBasisStore::new(2, &c, Arc::new(AffineFamily))
+            .to_snapshot_bytes(&c, "affine")
+            .unwrap();
+        let loads_populated = || {
+            let kept =
+                ShardedBasisStore::load_snapshot(&path, &c, Arc::new(AffineFamily), 2).unwrap();
+            assert_eq!(kept.bases_per_column(), populated().bases_per_column());
+        };
+        // The temporary cannot be created (its name is taken by a
+        // directory; a read-only directory would not stop a test running as
+        // root): the write fails before it touches the good file.
+        let blocked = dir.join(".tmp-blocked");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(write_through(&blocked, &path, &newer).is_err());
+        loads_populated();
+        // The rename fails (the target's directory is gone from under it):
+        // the written temporary is removed again.
+        let tmp = dir.join(".tmp-orphan");
+        assert!(write_through(&tmp, &dir.join("missing/store.snap"), &newer).is_err());
+        loads_populated();
+        assert_eq!(file_names(&dir), vec![".tmp-blocked", "store.snap"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

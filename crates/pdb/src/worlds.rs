@@ -76,7 +76,9 @@ pub fn resolve_thread_budget(threads: usize) -> usize {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The human-readable message of a caught panic payload (`&str` and
+/// `String` payloads; anything else is named as such).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

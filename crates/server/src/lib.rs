@@ -5,7 +5,9 @@
 //! and interactive what-if sessions over a length-prefixed line protocol
 //! ([`protocol`]). Connections are multiplexed by a small set of
 //! readiness-polling event loops over nonblocking sockets, so hundreds of
-//! concurrent clients cost a handful of threads rather than one each.
+//! concurrent clients cost a handful of threads rather than one each; long
+//! verbs (sweeps, ticks, snapshot I/O) run on a job-runner thread beside
+//! each loop, so they never stall that loop's other clients.
 //! Every client connection compiles its scenario against the server's
 //! model catalog and attaches to the **one shared warm
 //! [`SharedBasisStore`](jigsaw_core::SharedBasisStore)** for that
@@ -42,6 +44,7 @@
 pub mod catalog;
 pub mod client;
 mod conn;
+mod jobs;
 pub mod protocol;
 mod server;
 

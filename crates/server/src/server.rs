@@ -11,11 +11,17 @@
 //! exponentially from 50µs (invisible next to a single world evaluation)
 //! to ~5ms while the quiet spell lasts, and snapping back to the floor on
 //! any readiness.
-//! Sweeps and ticks execute inline on the loop thread: their parallelism
-//! comes from the shared [`PersistentPool`], not from connection threads,
-//! and the store lock serializes concurrent sweeps of one scenario anyway
-//! (that serialization is exactly what makes the second sweep all warm
-//! hits).
+//!
+//! A loop thread only ever runs *short* verbs. Beside each loop runs one
+//! **job runner** thread (`jigsaw-job-<i>`, see [`crate::jobs`]) that
+//! executes that loop's long verbs — sweeps, ticks, snapshot saves and
+//! loads — one at a time in arrival order, and unparks the loop when one
+//! finishes; so a sweep delays its own client (and, through the store
+//! lock, other clients of the same scenario), never the rest of the loop.
+//! A sweep's parallelism comes from the shared [`PersistentPool`], not from
+//! runners or loops, and the store lock serializes concurrent sweeps of
+//! one scenario anyway (that serialization is exactly what makes the
+//! second sweep all warm hits).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -26,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use jigsaw_core::basis::snapshot::write_atomic;
 use jigsaw_core::basis::{StoreKey, StoreRegistry};
 use jigsaw_core::{JigsawConfig, PersistentPool, WorkerPool};
 use jigsaw_obs::event;
@@ -33,6 +40,7 @@ use jigsaw_pdb::Catalog;
 
 use crate::conn::Conn;
 use crate::default_catalog;
+use crate::jobs::{job_channel, JobQueue};
 
 /// The mapping family every server store is built on.
 pub(crate) const FAMILY: &str = "affine";
@@ -102,9 +110,14 @@ impl ServerState {
             let bytes = store
                 .to_snapshot_bytes(&self.cfg, &snapshot_family(key))
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
-            std::fs::write(path, bytes)?;
+            write_atomic(path, &bytes)?;
         }
         Ok(())
+    }
+
+    /// Whether [`ServerHandle::shutdown`] has begun.
+    pub(crate) fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -192,8 +205,10 @@ impl ServerBuilder {
     }
 
     /// Number of connection event-loop threads (default 1). Each loop
-    /// multiplexes many nonblocking connections; more loops let long
-    /// inline commands (sweeps) of one client overlap other clients' I/O.
+    /// multiplexes many nonblocking connections and comes with one job
+    /// runner thread for its long verbs, so this is also how many sweeps,
+    /// ticks and snapshot saves/loads can execute at once; short verbs are
+    /// never held up by a long one, whatever the count.
     pub fn conn_threads(mut self, threads: usize) -> Self {
         self.conn_threads = threads.max(1);
         self
@@ -229,7 +244,7 @@ impl ServerBuilder {
 /// A bound-but-not-yet-serving session server (see [`Self::builder`]).
 pub struct JigsawServer {
     listener: TcpListener,
-    state: Arc<ServerState>,
+    pub(crate) state: Arc<ServerState>,
     conn_threads: usize,
 }
 
@@ -244,33 +259,38 @@ impl JigsawServer {
         self.listener.local_addr()
     }
 
-    /// Spawn the event loops and start serving. The returned handle stops
-    /// the server on [`ServerHandle::shutdown`] or waits forever on
-    /// [`ServerHandle::join`].
+    /// Spawn the event loops, and a job runner beside each, and start
+    /// serving. The returned handle stops the server on
+    /// [`ServerHandle::shutdown`] or waits forever on [`ServerHandle::join`].
     pub fn serve(self) -> std::io::Result<ServerHandle> {
         let addr = self.listener.local_addr()?;
         let state = self.state;
         let mut loops = Vec::with_capacity(self.conn_threads);
+        let mut runners = Vec::with_capacity(self.conn_threads);
+        let mut spawn_loop = |i: usize, listener, peers, rx| -> std::io::Result<()> {
+            let (jobs, runner) = job_channel(i);
+            let st = Arc::clone(&state);
+            let event_loop = std::thread::Builder::new()
+                .name(format!("jigsaw-conn-{i}"))
+                .spawn(move || event_loop(i, listener, peers, rx, jobs, &st))?;
+            let wake = event_loop.thread().clone();
+            let st = Arc::clone(&state);
+            loops.push(event_loop);
+            runners.push(
+                std::thread::Builder::new()
+                    .name(format!("jigsaw-job-{i}"))
+                    .spawn(move || runner.run(wake, &st))?,
+            );
+            Ok(())
+        };
         let mut peers: Vec<Sender<Conn>> = Vec::new();
         for i in 1..self.conn_threads {
             let (tx, rx) = std::sync::mpsc::channel();
             peers.push(tx);
-            let st = Arc::clone(&state);
-            loops.push(
-                std::thread::Builder::new()
-                    .name(format!("jigsaw-conn-{i}"))
-                    .spawn(move || event_loop(i, None, Vec::new(), Some(rx), &st))?,
-            );
+            spawn_loop(i, None, Vec::new(), Some(rx))?;
         }
-        let st = Arc::clone(&state);
-        let listener = self.listener;
-        loops.insert(
-            0,
-            std::thread::Builder::new()
-                .name("jigsaw-conn-0".into())
-                .spawn(move || event_loop(0, Some(listener), peers, None, &st))?,
-        );
-        Ok(ServerHandle { addr, state, loops })
+        spawn_loop(0, Some(self.listener), peers, None)?;
+        Ok(ServerHandle { addr, state, loops, runners })
     }
 }
 
@@ -281,7 +301,8 @@ fn event_loop(
     listener: Option<TcpListener>,
     peers: Vec<Sender<Conn>>,
     rx: Option<Receiver<Conn>>,
-    state: &ServerState,
+    jobs: JobQueue,
+    state: &Arc<ServerState>,
 ) {
     // Loop-layer instruments: accept rate (loop 0 only in practice), the
     // process-wide live-connection gauge, pump-pass latency over non-empty
@@ -300,12 +321,17 @@ fn event_loop(
     // world evaluation); consecutive idle passes double the park up to
     // ~5ms, so a quiet server costs ~200 wakeups/s per loop instead of
     // 20000. Any readiness resets to the floor, keeping first-byte
-    // latency on a busy connection unchanged.
+    // latency on a busy connection unchanged. The park is a
+    // `park_timeout`, so this loop's job runner cuts it short the moment a
+    // job finishes; sockets still wait it out.
     const IDLE_FLOOR: Duration = Duration::from_micros(50);
     const IDLE_CEIL: Duration = Duration::from_micros(5_000);
     let mut idle_park = IDLE_FLOOR;
-    while !state.shutdown.load(Ordering::SeqCst) {
+    while !state.is_shutting_down() {
         let mut progress = false;
+        // Whether some connection sat out work because its store is being
+        // swept (see `ConnStatus::deferred`).
+        let mut deferred = false;
         if let Some(listener) = &listener {
             loop {
                 match listener.accept() {
@@ -342,8 +368,9 @@ fn event_loop(
             // would otherwise bury the latency signal in zeros.
             let t0 = std::time::Instant::now();
             conns.retain_mut(|conn| {
-                let status = conn.pump(state);
+                let status = conn.pump(state, &jobs);
                 progress |= status.progressed;
+                deferred |= status.deferred;
                 if !status.open {
                     live.add(-1);
                 }
@@ -353,9 +380,11 @@ fn event_loop(
         }
         if !progress {
             // Nothing moved on any connection: park, backing off while the
-            // quiet spell lasts.
-            std::thread::sleep(idle_park);
-            idle_park = (idle_park * 2).min(IDLE_CEIL);
+            // quiet spell lasts — except while a connection is deferred:
+            // the sweep it waits for may end on another loop's runner,
+            // which wakes nobody here, so stay at the floor.
+            std::thread::park_timeout(idle_park);
+            idle_park = if deferred { IDLE_FLOOR } else { (idle_park * 2).min(IDLE_CEIL) };
         } else {
             idle_park = IDLE_FLOOR;
         }
@@ -371,6 +400,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
     loops: Vec<JoinHandle<()>>,
+    runners: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -385,15 +415,15 @@ impl ServerHandle {
     }
 
     /// Stop the server gracefully: flag the event loops down (each notices
-    /// within one poll pass, closing its connections), join them, then
-    /// re-snapshot every store with an on-disk home (`SAVE`d or `LOAD`ed)
-    /// so a restart resumes warm.
+    /// within one poll pass, closing its connections) and join them; join
+    /// the job runners, each of which finishes the job it is executing and
+    /// drops the ones still queued; only then re-snapshot every store with
+    /// an on-disk home (`SAVE`d or `LOAD`ed) — nothing can be writing a
+    /// store by then — so a restart resumes warm.
     pub fn shutdown(mut self) -> std::io::Result<()> {
         event!("server.shutdown");
         self.state.shutdown.store(true, Ordering::SeqCst);
-        for handle in self.loops.drain(..) {
-            let _ = handle.join();
-        }
+        self.join_threads();
         self.state.resnapshot_persisted()
     }
 
@@ -401,7 +431,12 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`], so this is the serve-forever mode of the
     /// `jigsaw-server` binary).
     pub fn join(mut self) {
-        for handle in self.loops.drain(..) {
+        self.join_threads();
+    }
+
+    /// Loops first: a runner stops when its loop has dropped the job queue.
+    fn join_threads(&mut self) {
+        for handle in self.loops.drain(..).chain(self.runners.drain(..)) {
             let _ = handle.join();
         }
     }

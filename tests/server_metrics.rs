@@ -5,14 +5,20 @@
 //! sweep warm-hit counters are non-zero, and session warm hits never
 //! exceed touches. A v2 client asking for `METRICS` draws a typed
 //! `ERR unsupported` and keeps its connection; re-negotiating to v3 on the
-//! same connection unlocks the verb.
+//! same connection unlocks the verb. The per-verb equality also holds in a
+//! scrape taken *while* a `SWEEP` is in flight on the job runner: an
+//! offloaded verb enters both series together, when its response is queued.
 //!
 //! The servers here run in-process, so the scrape sees this process's
 //! global registry. Tests serialize on one lock: metrics are process-wide
 //! and the per-verb equality invariant is only exact while no other
 //! connection is mid-request.
 
+mod support;
+
 use std::sync::Mutex;
+
+use support::{gated_catalog, series, Gate, GATED_SRC};
 
 use jigsaw::server::{
     Client, ErrorCode, JigsawServer, Request, Response, ServerHandle, PROTOCOL_VERSION,
@@ -37,22 +43,35 @@ fn serve() -> ServerHandle {
         .expect("start server")
 }
 
-/// The integer value of an exposition series, matched on the full
-/// `name{labels}` prefix (exact, not substring — `foo` must not match
-/// `foo_total`).
-fn series(text: &str, series: &str) -> Option<i128> {
-    text.lines().find_map(|line| {
-        let (name, value) = line.rsplit_once(' ')?;
-        (name == series).then(|| value.parse().expect("series value parses"))
-    })
-}
-
 /// Scrape the server through `client`, asserting the response shape.
 fn scrape(client: &mut Client) -> String {
     match client.request(&Request::Metrics).expect("METRICS answers") {
         Response::Metrics { text } => text,
         other => panic!("expected a METRICS payload, got {other:?}"),
     }
+}
+
+/// Per-verb invariant: the latency histogram and the request counter move
+/// together, so `_count` equals the counter for every verb seen. (The
+/// scrape itself snapshots *before* its own METRICS bump lands.) Returns
+/// how many verbs the scrape carried.
+fn assert_per_verb_counts_agree(text: &str) -> usize {
+    let mut verbs_seen = 0;
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("jigsaw_requests_total{verb=\"") else { continue };
+        let verb = rest.split('"').next().expect("closing quote");
+        let requests = series(text, &format!("jigsaw_requests_total{{verb=\"{verb}\"}}"))
+            .expect("counter parses");
+        let lat_count = series(text, &format!("jigsaw_request_us_count{{verb=\"{verb}\"}}"))
+            .unwrap_or_else(|| panic!("no latency histogram for {verb}"));
+        assert_eq!(requests, lat_count, "count invariant for {verb}");
+        let lat_inf =
+            series(text, &format!("jigsaw_request_us_bucket{{verb=\"{verb}\",le=\"+Inf\"}}"))
+                .unwrap_or_else(|| panic!("no +Inf bucket for {verb}"));
+        assert_eq!(lat_inf, lat_count, "+Inf bucket covers everything for {verb}");
+        verbs_seen += 1;
+    }
+    verbs_seen
 }
 
 #[test]
@@ -106,24 +125,7 @@ fn warm_session_scrape_reports_consistent_counters() {
         value.parse::<i128>().unwrap_or_else(|_| panic!("non-numeric sample: {line}"));
     }
 
-    // Per-verb invariant: the latency histogram and the request counter
-    // move together, so `_count` equals the counter for every verb seen.
-    // (The scrape itself snapshots *before* its own METRICS bump lands.)
-    let mut verbs_seen = 0;
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix("jigsaw_requests_total{verb=\"") else { continue };
-        let verb = rest.split('"').next().expect("closing quote");
-        let requests = series(&text, &format!("jigsaw_requests_total{{verb=\"{verb}\"}}"))
-            .expect("counter parses");
-        let lat_count = series(&text, &format!("jigsaw_request_us_count{{verb=\"{verb}\"}}"))
-            .unwrap_or_else(|| panic!("no latency histogram for {verb}"));
-        assert_eq!(requests, lat_count, "count invariant for {verb}");
-        let lat_inf =
-            series(&text, &format!("jigsaw_request_us_bucket{{verb=\"{verb}\",le=\"+Inf\"}}"))
-                .unwrap_or_else(|| panic!("no +Inf bucket for {verb}"));
-        assert_eq!(lat_inf, lat_count, "+Inf bucket covers everything for {verb}");
-        verbs_seen += 1;
-    }
+    let verbs_seen = assert_per_verb_counts_agree(&text);
     assert!(verbs_seen >= 4, "HELLO, METRICS, COMPILE, SWEEP, ESTIMATE all ran");
     assert_eq!(
         series(&text, "jigsaw_requests_total{verb=\"ESTIMATE\"}"),
@@ -152,6 +154,50 @@ fn warm_session_scrape_reports_consistent_counters() {
     );
 
     assert_eq!(c.request(&Request::Quit).expect("quit"), Response::Bye);
+    handle.shutdown().expect("shutdown");
+}
+
+/// A scrape taken while a `SWEEP` is held mid-run on the job runner: the
+/// sweep is in neither per-verb series yet (both move when its response is
+/// queued), the in-flight gauge shows it, and once it is released it lands
+/// in both series at once.
+#[test]
+fn scrape_during_a_sweep_in_flight_keeps_the_count_invariant() {
+    let _g = guard();
+    let gate = Gate::new_open();
+    let handle = JigsawServer::builder()
+        .config(jigsaw::core::JigsawConfig::paper().with_n_samples(60))
+        .catalog(gated_catalog(&gate))
+        .bind("127.0.0.1:0")
+        .expect("bind loopback")
+        .serve()
+        .expect("start server");
+    let mut sweeper = Client::connect(handle.local_addr()).expect("connect");
+    let mut scraper = Client::connect(handle.local_addr()).expect("connect");
+    match sweeper.request(&Request::Compile { src: GATED_SRC.into() }).expect("compile") {
+        Response::Compiled { .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    let sweeps = |text: &str| series(text, "jigsaw_requests_total{verb=\"SWEEP\"}").unwrap_or(0);
+    let sweeps_before = sweeps(&scrape(&mut scraper));
+
+    gate.shut();
+    std::thread::scope(|scope| {
+        let sweeping = scope.spawn(|| sweeper.request(&Request::Sweep).expect("sweep answers"));
+        gate.wait_until_held();
+        let during = scrape(&mut scraper);
+        assert!(assert_per_verb_counts_agree(&during) >= 3, "HELLO, COMPILE, METRICS at least");
+        assert_eq!(sweeps(&during), sweeps_before, "a sweep in flight is not yet counted");
+        assert_eq!(series(&during, "jigsaw_jobs_inflight{loop=\"0\"}"), Some(1));
+        assert!(series(&during, "jigsaw_job_queue_wait_us_count").expect("queue-wait series") >= 1);
+        assert!(during.contains("# TYPE jigsaw_conn_deferred_total counter"), "{during}");
+        gate.open();
+        assert!(matches!(sweeping.join().expect("sweeper"), Response::Swept { .. }));
+    });
+    let after = scrape(&mut scraper);
+    assert_per_verb_counts_agree(&after);
+    assert_eq!(sweeps(&after), sweeps_before + 1);
+    assert_eq!(series(&after, "jigsaw_jobs_inflight{loop=\"0\"}"), Some(0));
     handle.shutdown().expect("shutdown");
 }
 
