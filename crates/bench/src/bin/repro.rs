@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--exp e1,e2,...] [--threads N] [--deterministic]
-//!       [--save-basis DIR] [--load-basis DIR] [--eval-path columnar|oracle]
+//!       [--save-basis DIR] [--load-basis DIR]
 //!       [--sketch] [--sketch-budget S] [--refine-top-k K]
 //! ```
 //!
@@ -23,12 +23,6 @@
 //! load run emit byte-identical deterministic tables — the CI smoke job
 //! diffs exactly that pair too.
 //!
-//! `--eval-path oracle` pins the process-wide evaluation path to the
-//! per-world oracle loops instead of the default columnar kernels. The
-//! columnar layout is a pure performance change, so two deterministic runs
-//! differing only in this flag emit byte-identical tables — the CI smoke
-//! job diffs exactly that pair as well.
-//!
 //! `--sketch` is shorthand for `--exp e12`: run only the sketch-then-refine
 //! comparison. `--sketch-budget S` / `--refine-top-k K` override E12's
 //! sketch knobs (defaults: `2m` coarse worlds per point, frontier width 4).
@@ -38,7 +32,7 @@
 
 use std::path::PathBuf;
 
-use jigsaw_bench::experiments::{e1, e10, e11, e12, e13, e14, e2, e3, e4, e5, e6, e7, e8, e9};
+use jigsaw_bench::experiments::{e1, e10, e12, e13, e14, e2, e3, e4, e5, e6, e7, e8, e9};
 use jigsaw_bench::{Scale, Table};
 
 fn main() {
@@ -73,17 +67,6 @@ fn main() {
     };
     let sketch_budget = usize_flag("--sketch-budget");
     let refine_top_k = usize_flag("--refine-top-k");
-    if let Some(i) = args.iter().position(|a| a == "--eval-path") {
-        let path = match args.get(i + 1).map(String::as_str) {
-            Some("columnar") => jigsaw_pdb::EvalPath::Columnar,
-            Some("oracle") => jigsaw_pdb::EvalPath::Oracle,
-            _ => {
-                eprintln!("error: --eval-path requires `columnar` or `oracle`");
-                std::process::exit(2);
-            }
-        };
-        jigsaw_pdb::force_eval_path(path);
-    }
     let scale = (if quick { Scale::QUICK } else { Scale::FULL }).with_threads(threads);
     let selected: Vec<String> = args
         .iter()
@@ -169,10 +152,6 @@ fn main() {
         let (rows, ladder) = e10::run(scale);
         println!("{}", render(&e10::report(&rows)));
         println!("{}", render(&e10::report_ladder(&ladder)));
-    }
-    if want("e11") {
-        eprintln!("[repro] E11: per-world vs columnar world evaluation…");
-        println!("{}", render(&e11::report(&e11::run(scale))));
     }
     if want("e12") {
         eprintln!("[repro] E12: sketch-then-refine vs exhaustive sweep…");

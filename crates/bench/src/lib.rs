@@ -14,8 +14,9 @@
 //! | [`experiments::e8`] | Parallel sweep scaling at 1/2/4/8 threads (reproduction extension) |
 //! | [`experiments::e9`] | Cold vs snapshot-warm-started sweeps (reproduction extension) |
 //! | [`experiments::e10`] | Session server: multi-client warm-store sharing (reproduction extension) |
-//! | [`experiments::e11`] | Per-world vs columnar world evaluation (reproduction extension) |
 //! | [`experiments::e12`] | Sketch-then-refine vs exhaustive sweep (reproduction extension) |
+//! | [`experiments::e13`] | Anytime `SUBSCRIBE` estimates with error bounds (reproduction extension) |
+//! | [`experiments::e14`] | Observability overhead, instruments on vs off (reproduction extension) |
 //!
 //! The `repro` binary prints them as text tables; `EXPERIMENTS.md` records
 //! paper-vs-measured values. Absolute times differ from the paper's 2009-era

@@ -78,17 +78,20 @@ use crate::telemetry::{SweepStats, WaveReuse};
 /// from at most `threads` concurrent workers. Which worker runs which task
 /// — and in what order — is entirely the pool's business: callers stitch
 /// results back by task index, so any faithful pool produces bit-identical
-/// output. The default [`ScopedPool`] spawns scoped threads per phase; a
-/// long-lived server can substitute a persistent pool that keeps workers
-/// alive across waves without touching the executor.
+/// output. Production sweeps run on [`super::PersistentPool`], whose workers
+/// outlive waves and sweeps; [`ScopedPool`] is the simple reference the
+/// tests compare it against.
 pub trait WorkerPool: Send + Sync {
     /// Run `run(t)` for every `t in 0..n_tasks`, using at most `threads`
     /// concurrent workers. Must not return before every task has run.
     fn scatter(&self, threads: usize, n_tasks: usize, run: &(dyn Fn(usize) + Sync));
 }
 
-/// The default pool: scoped worker threads spawned per phase, pulling task
-/// indices off a shared cursor (load-balanced, amortized by large waves).
+/// The reference pool: scoped worker threads spawned per scatter, pulling
+/// task indices off a shared cursor. Nothing in production runs on it —
+/// every sweep uses [`super::PersistentPool`] — but its `thread::scope`
+/// semantics are the obvious ones, which makes it the yardstick the
+/// persistent pool's bit-identity tests measure against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScopedPool;
 
@@ -550,10 +553,9 @@ pub(crate) fn execute_sketch_refine(
 /// Jobs are split into world chunks handed to the [`WorkerPool`], so the
 /// schedule is load-balanced; results stitch back in `(job, window)` order,
 /// making the output independent of which worker ran what. Each chunk is
-/// evaluated through [`jigsaw_pdb::eval_window`], which follows the
-/// process-wide [`jigsaw_pdb::EvalPath`] (columnar by default, per-world
-/// oracle under `JIGSAW_EVAL_PATH=oracle`) and converts worker panics into
-/// typed errors inside the task, so nothing unwinds through the pool.
+/// evaluated through [`jigsaw_pdb::eval_window`], which runs the columnar
+/// kernels and converts simulation panics into typed errors inside the
+/// task, so nothing unwinds through the pool.
 fn run_jobs(
     sim: &dyn Simulation,
     jobs: &[EvalJob<'_>],

@@ -72,13 +72,18 @@ impl SweepResult {
 /// // Self-contained: cfg.basis_load / basis_save drive persistence.
 /// let result = SweepRunner::new(cfg).run(&sim)?;
 ///
-/// // Attached to a borrowed store, on a long-lived pool:
+/// // Attached to a borrowed store, on a pool shared with other runners:
 /// let mut runner = SweepRunner::new(cfg)
 ///     .pool(Arc::new(PersistentPool::new(4)))
 ///     .store(&mut stores);
 /// let cold = runner.run(&sim)?;
 /// let warm = runner.run(&sim)?; // same store: all warm hits
 /// ```
+///
+/// Every sweep runs on a [`PersistentPool`]: without [`SweepRunner::pool`]
+/// the runner builds its own, sized to `cfg.effective_threads()`, on the
+/// first [`SweepRunner::run`] and keeps it for every later run, so waves
+/// never pay a thread spawn.
 ///
 /// The configuration is held behind an [`Arc`], so cloning a runner — or
 /// constructing many runners over one configuration (benchmark loops, the
@@ -88,7 +93,9 @@ impl SweepResult {
 pub struct SweepRunner<'s> {
     cfg: Arc<JigsawConfig>,
     family: Arc<dyn MappingFamily>,
-    pool: Arc<dyn executor::WorkerPool>,
+    /// `None` until the first run builds the default pool (or `.pool()`
+    /// injects one).
+    pool: Option<Arc<dyn executor::WorkerPool>>,
     store: Option<&'s mut crate::basis::ShardedBasisStore>,
     /// Disable fingerprint reuse entirely (the "Full Evaluation" baseline of
     /// Figure 8).
@@ -104,7 +111,7 @@ impl SweepRunner<'static> {
         SweepRunner {
             cfg,
             family: Arc::new(AffineFamily),
-            pool: Arc::new(executor::ScopedPool),
+            pool: None,
             store: None,
             disable_reuse: false,
         }
@@ -126,12 +133,12 @@ impl SweepRunner<'static> {
 }
 
 impl<'s> SweepRunner<'s> {
-    /// Substitute the worker pool the parallel phases run on (default:
-    /// per-phase scoped threads; a long-lived process wants a
-    /// [`PersistentPool`]). Any faithful [`executor::WorkerPool`] yields
-    /// bit-identical sweeps; this is a pure provisioning knob.
+    /// Run on a caller-owned worker pool instead of building one — how the
+    /// session server shares its one [`PersistentPool`] across every
+    /// `SWEEP`. Any faithful [`executor::WorkerPool`] yields bit-identical
+    /// sweeps, so tests also inject reference pools here.
     pub fn pool(mut self, pool: Arc<dyn executor::WorkerPool>) -> Self {
-        self.pool = pool;
+        self.pool = Some(pool);
         self
     }
 
@@ -166,15 +173,12 @@ impl<'s> SweepRunner<'s> {
     /// output faster. `&mut self` only threads the store borrow — repeat
     /// runs on one runner warm-start against the bases earlier runs built.
     pub fn run(&mut self, sim: &dyn Simulation) -> Result<SweepResult> {
+        let cfg = &self.cfg;
+        let pool = &**self
+            .pool
+            .get_or_insert_with(|| Arc::new(PersistentPool::new(cfg.effective_threads())));
         if let Some(stores) = self.store.as_deref_mut() {
-            return Self::dispatch(
-                &self.cfg,
-                self.disable_reuse,
-                sim,
-                stores,
-                &*self.pool,
-                &self.family,
-            );
+            return Self::dispatch(cfg, self.disable_reuse, sim, stores, pool, &self.family);
         }
         let n_cols = sim.columns().len();
         let mut stores = match &self.cfg.basis_load {
@@ -186,14 +190,8 @@ impl<'s> SweepRunner<'s> {
             )?,
             None => crate::basis::ShardedBasisStore::new(n_cols, &self.cfg, self.family.clone()),
         };
-        let result = Self::dispatch(
-            &self.cfg,
-            self.disable_reuse,
-            sim,
-            &mut stores,
-            &*self.pool,
-            &self.family,
-        )?;
+        let result =
+            Self::dispatch(&self.cfg, self.disable_reuse, sim, &mut stores, pool, &self.family)?;
         if let Some(path) = &self.cfg.basis_save {
             stores.save_snapshot(&self.cfg, self.family.name(), path)?;
         }

@@ -1,18 +1,23 @@
-//! A persistent worker pool: threads spawned once, surviving across waves,
-//! sweeps, and requests.
+//! The persistent worker pool every sweep runs on: threads spawned once,
+//! surviving across waves, sweeps, and requests.
 //!
-//! [`ScopedPool`](super::executor::ScopedPool) spawns fresh OS threads for
-//! every parallel phase — fine for one batch sweep, pure churn for a
-//! long-lived session server that runs thousands of small scatters against
-//! warm stores. [`PersistentPool`] moves provisioning out of the hot path:
-//! workers are created in [`PersistentPool::new`] and parked on a condvar;
-//! each [`scatter`](super::executor::WorkerPool::scatter) publishes one
-//! *job* (an atomic task cursor plus a completion counter), wakes the
-//! workers, participates from the calling thread, and returns when the
-//! counter says every task ran. Which worker runs which task is — as the
-//! [`WorkerPool`] contract requires — irrelevant: the executor stitches by
-//! task index, so sweeps through a `PersistentPool` are **bit-identical**
-//! to `ScopedPool` sweeps at every thread budget.
+//! Spawning threads per parallel phase (what
+//! [`ScopedPool`](super::executor::ScopedPool), the test reference, does)
+//! costs tens of microseconds per scatter, and a sweep scatters twice per
+//! wave. [`PersistentPool`] moves provisioning out of the hot path: workers
+//! are created in [`PersistentPool::new`] and parked on a condvar; each
+//! [`scatter`](super::executor::WorkerPool::scatter) publishes one *job*
+//! (an atomic task cursor plus a completion counter), wakes the workers,
+//! participates from the calling thread, and returns when the counter says
+//! every task ran. Which worker runs which task is — as the [`WorkerPool`]
+//! contract requires — irrelevant: the executor stitches by task index, so
+//! sweeps through a `PersistentPool` are **bit-identical** to `ScopedPool`
+//! sweeps at every thread budget.
+//!
+//! A task that panics — on a worker or on the caller's seat — is caught,
+//! counted as finished, and re-raised on the caller once every other task
+//! has run and the job is retired, the way `thread::scope` reports a
+//! panicking scoped thread. The pool stays usable afterwards.
 //!
 //! Scatters are serialized by an internal gate (one job slot, one worker
 //! set); concurrent callers — e.g. two server connections sweeping
@@ -20,8 +25,10 @@
 //! Nested scatters from inside a task would deadlock on that gate; the
 //! executor never does this.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use super::executor::WorkerPool;
@@ -31,13 +38,16 @@ use super::executor::WorkerPool;
 ///
 /// # Safety
 ///
-/// The pointee is only ever dereferenced for a task index claimed from the
-/// job's cursor while the index is `< n_tasks`. Every such index is claimed
-/// exactly once, and `scatter` does not return until the completion counter
-/// says all `n_tasks` claimed tasks have *finished* — so every dereference
-/// happens-before `scatter` returns, i.e. strictly inside the closure's
-/// real lifetime. Workers that wake late observe an exhausted cursor and
-/// never touch the pointer.
+/// The pointee is only ever dereferenced in [`drain`], and only after a
+/// task index `t < n_tasks` has been claimed from the job's cursor. Every
+/// such index is claimed exactly once and counted finished only after
+/// `run(t)` has returned *or unwound* (the call is wrapped in
+/// `catch_unwind`), and `scatter` neither returns nor resumes a task's
+/// panic until the completion counter says all `n_tasks` tasks have
+/// finished — so every dereference happens-before `scatter` leaves, i.e.
+/// strictly inside the closure's real lifetime. A worker that holds a clone
+/// of an already-finished job finds the cursor exhausted and never touches
+/// the pointer.
 #[derive(Clone, Copy)]
 struct TaskFn(*const (dyn Fn(usize) + Sync));
 
@@ -59,6 +69,8 @@ struct Job {
     /// without touching the job (enforces the scatter's thread budget).
     seats: Arc<AtomicUsize>,
     seat_limit: usize,
+    /// The first panic payload a task raised, re-raised on the caller.
+    panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
 }
 
 #[derive(Default)]
@@ -199,24 +211,28 @@ fn worker_loop(shared: &Shared) {
             }
         };
         if job.seats.fetch_add(1, Ordering::AcqRel) < job.seat_limit {
-            // SAFETY: scatter is still blocked in its completion wait (the
-            // job was cloned out of the live slot), so the closure behind
-            // the pointer outlives every dereference; see [`TaskFn`].
-            let run = unsafe { &*job.run.0 };
-            drain(&job, run, shared);
+            drain(&job, shared);
         }
     }
 }
 
 /// Claim and run tasks off the job's cursor until it is exhausted,
-/// signalling the completion condvar when the last task finishes.
-fn drain(job: &Job, run: &(dyn Fn(usize) + Sync), shared: &Shared) {
+/// signalling the completion condvar when the last task finishes. A
+/// panicking task still counts as finished; its payload (the first one) is
+/// parked on the job for the caller to re-raise.
+fn drain(job: &Job, shared: &Shared) {
     loop {
         let t = job.cursor.fetch_add(1, Ordering::Relaxed);
         if t >= job.n_tasks {
             return;
         }
-        run(t);
+        // SAFETY: `t < n_tasks` is claimed and not yet counted finished, so
+        // `scatter` is still waiting and the closure is alive; see
+        // [`TaskFn`].
+        let run = unsafe { &*job.run.0 };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(t))) {
+            job.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
+        }
         if job.finished.fetch_add(1, Ordering::AcqRel) + 1 == job.n_tasks {
             // Touch the lock before notifying so the wakeup cannot slip
             // between the caller's counter check and its wait.
@@ -236,7 +252,9 @@ impl WorkerPool for PersistentPool {
             }
             return;
         }
-        let _gate = self.gate.lock().expect("pool gate poisoned");
+        // Held across the whole job and released before any re-raise, so
+        // a task's panic never poisons it.
+        let gate = self.gate.lock().expect("pool gate poisoned");
         let obs = pool_obs();
         obs.scatters.inc();
         obs.tasks.record(n_tasks as u64);
@@ -253,6 +271,7 @@ impl WorkerPool for PersistentPool {
             seats: Arc::new(AtomicUsize::new(0)),
             // The caller takes one seat itself.
             seat_limit: threads - 1,
+            panic: Arc::new(Mutex::new(None)),
         };
         {
             let mut st = self.shared.state.lock().expect("pool state poisoned");
@@ -261,14 +280,21 @@ impl WorkerPool for PersistentPool {
         }
         self.shared.work.notify_all();
         // Participate from the calling thread, then wait out the stragglers.
-        drain(&job, run, &self.shared);
+        drain(&job, &self.shared);
         let mut st = self.shared.state.lock().expect("pool state poisoned");
         while job.finished.load(Ordering::Acquire) < n_tasks {
             st = self.shared.done.wait(st).expect("pool state poisoned");
         }
         // Retire the job before `run`'s borrow ends: after this, no worker
-        // can clone (and thus ever dereference) the erased pointer.
+        // can clone the erased pointer (and clones taken earlier find the
+        // cursor exhausted).
         st.job = None;
+        drop(st);
+        drop(gate);
+        let panic = job.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -444,6 +470,36 @@ mod tests {
         // Every thread of the second scatter already served the first (the
         // caller plus parked workers) — nothing was spawned in between.
         assert!(second.is_subset(&first), "workers were reused, not respawned");
+        assert_eq!(pool.spawned_workers(), 3);
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller_after_every_task_ran() {
+        let pool = PersistentPool::new(4);
+        let n_tasks = 64;
+        let hits: Vec<AtomicUsize> = (0..n_tasks).map(|_| AtomicUsize::new(0)).collect();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scatter(4, n_tasks, &|t| {
+                hits[t].fetch_add(1, Ordering::SeqCst);
+                if t % 5 == 2 {
+                    panic!("deliberate panic in task {t}");
+                }
+            })
+        }));
+        let payload = caught.expect_err("a task's panic must unwind out of scatter");
+        let message = jigsaw_pdb::worlds::panic_message(payload);
+        assert!(message.starts_with("deliberate panic in task "), "{message}");
+        // Panicking or not, every task ran, and ran once.
+        for (t, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::SeqCst), 1, "task {t}");
+        }
+        // No worker died and nothing is poisoned: the same workers finish
+        // the next scatter.
+        let ran = AtomicUsize::new(0);
+        pool.scatter(4, n_tasks, &|_| {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), n_tasks);
         assert_eq!(pool.spawned_workers(), 3);
     }
 }

@@ -1,6 +1,6 @@
 //! Observability substrate for the Jigsaw workspace: metrics + tracing.
 //!
-//! Like the `devtools/` proptest and criterion shims, this crate is
+//! Like the `devtools/` proptest shim, this crate is
 //! hand-rolled and dependency-free so the workspace keeps building fully
 //! offline. It provides three things:
 //!

@@ -46,17 +46,17 @@ pub struct ExecContext {
     pub n_worlds: usize,
     /// Evaluate with the struct-of-arrays slice kernels instead of the
     /// per-world oracle loops. Both produce bit-identical bundles; the flag
-    /// exists so the oracle stays exercisable (property tests, the CI
-    /// forced-path twin run) while production rides the columnar kernels.
+    /// exists so the oracle stays exercisable (property tests, probes via
+    /// [`ExecContext::with_columnar`]) while production rides the columnar
+    /// kernels.
     pub columnar: bool,
 }
 
 impl ExecContext {
     /// Context for worlds `[0, n)` with the given parameter values, on the
-    /// process-wide [`crate::worlds::eval_path`].
+    /// columnar kernels.
     pub fn new(seeds: SeedSet, params: Vec<f64>, n_worlds: usize) -> Self {
-        let columnar = crate::worlds::eval_path() == crate::worlds::EvalPath::Columnar;
-        ExecContext { seeds, params, world_start: 0, n_worlds, columnar }
+        ExecContext { seeds, params, world_start: 0, n_worlds, columnar: true }
     }
 
     /// Override the evaluation kernels for this invocation.

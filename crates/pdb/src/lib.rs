@@ -50,6 +50,6 @@ pub use sim::{BlackBoxSim, PlanSim, Simulation};
 pub use table::{Table, TableBuilder};
 pub use value::Value;
 pub use worlds::{
-    eval_batch, eval_batch_on, eval_path, eval_window, eval_window_on, eval_worlds,
-    force_eval_path, resolve_thread_budget, EvalPath,
+    eval_batch, eval_batch_on, eval_window, eval_window_on, eval_worlds, resolve_thread_budget,
+    EvalPath,
 };

@@ -10,16 +10,14 @@
 //! Two entry points share the splitting/stitching machinery:
 //!
 //! * [`eval_batch`] — the production path. Evaluates a window into a
-//!   columnar [`WorldBatch`] on the configured [`EvalPath`]: `Columnar`
-//!   (default) drives [`Simulation::eval_batch`], whose engines fill
-//!   contiguous `f64` columns with slice kernels; `Oracle` drives the
-//!   historical per-world [`Simulation::eval_worlds`] path. Both produce
-//!   bit-identical bytes — the columnar kernels perform the same
-//!   floating-point operations in the same order — which CI pins with a
-//!   forced-path twin-run diff and `tests/columnar_oracle.rs` property
-//!   tests.
-//! * [`eval_worlds`] — the per-world oracle, kept as the reference
-//!   implementation and for callers that want the `out[col][world]` shape.
+//!   columnar [`WorldBatch`] through [`Simulation::eval_batch`], whose
+//!   engines fill contiguous `f64` columns with slice kernels.
+//! * [`eval_worlds`] — the per-world oracle ([`Simulation::eval_worlds`]),
+//!   kept as the reference implementation and for callers that want the
+//!   `out[col][world]` shape. The columnar kernels perform the same
+//!   floating-point operations in the same order, so both produce
+//!   bit-identical bytes; `tests/columnar_oracle.rs` pins that through the
+//!   explicit-path handles [`eval_batch_on`] / [`eval_window_on`].
 //!
 //! Each sub-window executes exactly as the sequential path would over that
 //! window (same seeds per world), and windows are stitched back in
@@ -30,39 +28,20 @@
 //! host process (the session server answers `ERR` and keeps serving).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 
 use crate::batch::WorldBatch;
 use crate::error::{PdbError, Result};
 use crate::sim::Simulation;
 
-/// Which world-evaluation implementation [`eval_batch`] drives.
+/// Which world-evaluation implementation the explicit-path handles
+/// ([`eval_batch_on`], [`eval_window_on`]) drive. Production always runs
+/// `Columnar`; `Oracle` exists so tests and probes can compare the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalPath {
-    /// Struct-of-arrays kernels over contiguous columns (the default).
+    /// Struct-of-arrays kernels over contiguous columns (production).
     Columnar,
     /// The historical per-world reference path.
     Oracle,
-}
-
-static EVAL_PATH: OnceLock<EvalPath> = OnceLock::new();
-
-/// The process-wide evaluation path. Resolved once, from the
-/// `JIGSAW_EVAL_PATH` environment variable (`oracle` selects the per-world
-/// reference path; anything else means columnar) unless
-/// [`force_eval_path`] ran first.
-pub fn eval_path() -> EvalPath {
-    *EVAL_PATH.get_or_init(|| match std::env::var("JIGSAW_EVAL_PATH") {
-        Ok(v) if v.eq_ignore_ascii_case("oracle") => EvalPath::Oracle,
-        _ => EvalPath::Columnar,
-    })
-}
-
-/// Pin the process-wide evaluation path (first caller wins; the repro
-/// binary's `--eval-path` flag goes through here before any evaluation).
-/// Returns the path actually in effect.
-pub fn force_eval_path(path: EvalPath) -> EvalPath {
-    *EVAL_PATH.get_or_init(|| path)
 }
 
 /// Resolve a thread-budget knob: `0` means "all available cores", any other
@@ -95,9 +74,8 @@ fn catch_panics<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 
 /// Evaluate one window **sequentially** on an explicit path, converting any
 /// simulation panic into [`PdbError::WorkerPanic`]. This is the per-task
-/// unit the threaded entry points (and `jigsaw-core`'s worker pools)
-/// schedule: because the panic is caught inside the task, no unwinding ever
-/// crosses a pool or scope boundary.
+/// unit the threaded entry points schedule: because the panic is caught
+/// inside the task, no unwinding ever crosses a scope boundary.
 pub fn eval_window_on(
     sim: &dyn Simulation,
     point: &[f64],
@@ -113,20 +91,20 @@ pub fn eval_window_on(
     })
 }
 
-/// [`eval_window_on`] on the process-wide [`eval_path`] — the per-task unit
-/// `jigsaw-core`'s worker pools schedule.
+/// [`eval_window_on`] on the columnar kernels — the per-task unit
+/// `jigsaw-core`'s worker pools schedule (panics caught the same way, so
+/// nothing unwinds through a pool).
 pub fn eval_window(
     sim: &dyn Simulation,
     point: &[f64],
     start: usize,
     count: usize,
 ) -> Result<WorldBatch> {
-    eval_window_on(sim, point, start, count, eval_path())
+    catch_panics(|| sim.eval_batch(point, start, count))
 }
 
-/// [`eval_batch`] with an explicit path — the handle benches, experiments,
-/// and property tests use to compare both implementations inside one
-/// process without touching the global switch.
+/// [`eval_batch`] with an explicit path — the handle probes and property
+/// tests use to compare both implementations inside one process.
 pub fn eval_batch_on(
     sim: &dyn Simulation,
     point: &[f64],
@@ -171,8 +149,8 @@ pub fn eval_batch_on(
 
 /// Evaluate `sim` at `point` over worlds `[start, start+count)` into a
 /// columnar [`WorldBatch`], using up to `threads` OS threads (`0` = all
-/// available cores) and the process-wide [`eval_path`]. Bit-identical to
-/// the sequential path for every thread budget.
+/// available cores), on the columnar kernels. Bit-identical to the
+/// sequential path for every thread budget.
 pub fn eval_batch(
     sim: &dyn Simulation,
     point: &[f64],
@@ -180,7 +158,7 @@ pub fn eval_batch(
     count: usize,
     threads: usize,
 ) -> Result<WorldBatch> {
-    eval_batch_on(sim, point, start, count, threads, eval_path())
+    eval_batch_on(sim, point, start, count, threads, EvalPath::Columnar)
 }
 
 /// Evaluate `sim` at `point` over worlds `[start, start+count)` using up to

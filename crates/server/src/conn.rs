@@ -21,6 +21,13 @@
 //! per-client request/response ordering, and with it the golden transcript,
 //! is the old thread-per-connection server's by construction.
 //!
+//! Output is bounded the same way as input: once more than one maximal
+//! frame of responses has queued since the socket last drained, the
+//! connection executes no further frames and steps no stream until the
+//! socket has taken all of it, so a client that pipelines without reading
+//! is pushed back by TCP (through the read-buffer cap) instead of growing
+//! the write buffer.
+//!
 //! A sweep holds its store's write lock for its whole run, and the loop
 //! thread must never sleep on that lock. So a connection whose session is
 //! attached to a store with a sweep in flight
@@ -294,7 +301,8 @@ pub(crate) struct Conn {
     /// Bytes read but not yet parsed (compacted after each parse pass).
     rbuf: Vec<u8>,
     rpos: usize,
-    /// Encoded responses not yet accepted by the socket.
+    /// Encoded responses; `wbuf[wpos..]` is not yet accepted by the
+    /// socket. Cleared once fully flushed; [`Conn::backlogged`] bounds it.
     wbuf: Vec<u8>,
     wpos: usize,
     /// `None` before `COMPILE` — and while a job has the session.
@@ -376,6 +384,14 @@ impl Conn {
         Some(u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize)
     }
 
+    /// Whether more than one maximal frame of output is queued. Until the
+    /// socket drains the buffer the connection executes no frames and steps
+    /// no stream: one more response fits under the bound, so `wbuf` never
+    /// exceeds two maximal frames.
+    fn backlogged(&self) -> bool {
+        self.wbuf.len() > MAX_FRAME + 4
+    }
+
     /// Whether [`Conn::next_frame`] has something to act on: a complete
     /// frame, or a prefix that already condemns the stream.
     fn frame_ready(&self) -> bool {
@@ -436,12 +452,16 @@ impl Conn {
             progressed |= self.collect_job();
             // Execute every complete frame, one at a time. Anything in
             // flight pauses execution — later requests stay buffered until
-            // the stream's closing EST or the job's response goes out —
-            // and so does a sweep of this connection's store, checked
-            // before each frame (the previous one may have been the
-            // COMPILE that attached to it) and only when there is a frame
-            // to sit out.
-            while !self.closing && self.inflight.is_none() && self.frame_ready() {
+            // the stream's closing EST or the job's response goes out — and
+            // so does an output backlog, and a sweep of this connection's
+            // store, checked before each frame (the previous one may have
+            // been the COMPILE that attached to it) and only when there is
+            // a frame to sit out.
+            while !self.closing
+                && self.inflight.is_none()
+                && !self.backlogged()
+                && self.frame_ready()
+            {
                 if self.store_being_swept() {
                     deferred = true;
                     break;
@@ -471,9 +491,10 @@ impl Conn {
                 self.rbuf.drain(..self.rpos);
                 self.rpos = 0;
             }
-            if self.peer_closed && self.inflight.is_none() && !deferred {
+            if self.peer_closed && self.inflight.is_none() && !self.frame_ready() {
                 // The peer closed its sending side and everything it
-                // pipelined before that has been answered: flush and go.
+                // pipelined before that has been answered — nothing is held
+                // back by a sweep or an output backlog: flush and go.
                 self.closing = true;
             }
         }
@@ -482,7 +503,7 @@ impl Conn {
             // the rest, so end the stream, or drop the job's slot (the job
             // runs on and warms the store; its result is discarded).
             self.set_inflight(None);
-        } else if matches!(self.inflight, Some(InFlight::Stream(_))) {
+        } else if matches!(self.inflight, Some(InFlight::Stream(_))) && !self.backlogged() {
             if self.store_being_swept() {
                 deferred = true;
             } else {
@@ -1076,5 +1097,38 @@ mod tests {
         let _ = flooding.join().expect("writer thread");
         drop(jobs);
         runner.join().expect("runner");
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_grow_the_write_buffer() {
+        let mut b = bench();
+        let hello = b.exchange(&[Request::Hello { version: 3 }]);
+        assert_eq!(hello[0], Response::Welcome { version: 3 });
+        let scrape = match b.exchange(&[Request::Metrics]).remove(0) {
+            Response::Metrics { text } => text.len(),
+            other => panic!("expected METRICS, got {other:?}"),
+        };
+        // Enough tiny requests that their replies outweigh the bound many
+        // times over — and whatever the loopback socket buffers absorb.
+        let bound = 2 * (MAX_FRAME + 4);
+        let n = 8 * bound / scrape + 1;
+        let mut burst = Vec::new();
+        for _ in 0..n {
+            send_request(&mut burst, &Request::Metrics).expect("encode");
+        }
+        send_request(&mut burst, &Request::Hello { version: 3 }).expect("encode");
+        b.client.write_all(&burst).expect("pipeline");
+
+        for pass in 0..200 {
+            assert!(b.conn.pump(&b.state, &b.jobs).open);
+            assert!(b.conn.wbuf.len() <= bound, "pass {pass}: {} bytes queued", b.conn.wbuf.len());
+        }
+        assert!(b.conn.frame_ready(), "the backlog holds requests back");
+
+        // Once the client reads, every reply arrives, in order.
+        let replies = b.replies(n + 1);
+        assert!(replies[..n].iter().all(|r| matches!(r, Response::Metrics { .. })));
+        assert_eq!(replies[n], Response::Welcome { version: 3 });
+        b.finish();
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! jigsaw-server [--addr HOST:PORT] [--threads N] [--n-samples N]
 //!               [--fingerprint-len M] [--seed N] [--snapshot-dir DIR]
-//!               [--pool scoped|persistent] [--conn-threads N]
+//!               [--conn-threads N]
 //!               [--sketch-budget S] [--refine-top-k K]
 //!               [--trace] [--metrics-dump SECS]
 //! ```
@@ -11,13 +11,10 @@
 //! Binds (default `127.0.0.1:0`, i.e. an ephemeral loopback port), prints
 //! one `LISTENING <addr>` line to stdout, and serves until killed. The CI
 //! smoke job scrapes that line, replays a scripted `jigsaw-client` session
-//! against it (under both `--pool` backends), and byte-diffs the
-//! transcript against a golden file.
+//! against it, and byte-diffs the transcript against a golden file.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use jigsaw_core::{ScopedPool, WorkerPool};
 use jigsaw_server::JigsawServer;
 
 fn main() {
@@ -61,18 +58,6 @@ fn main() {
     } else if parse_num("--refine-top-k").is_some() {
         eprintln!("error: --refine-top-k requires --sketch-budget");
         std::process::exit(2);
-    }
-    // The pool must see the final thread budget, so resolve it after all
-    // config flags (the builder's default pool is sized the same way).
-    match value_of("--pool").map(String::as_str) {
-        None | Some("persistent") => {}
-        Some("scoped") => {
-            builder = builder.pool(Arc::new(ScopedPool) as Arc<dyn WorkerPool>);
-        }
-        Some(other) => {
-            eprintln!("error: --pool must be `scoped` or `persistent`, got `{other}`");
-            std::process::exit(2);
-        }
     }
     builder = builder.config(cfg);
     if let Some(seed) = parse_num("--seed") {

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use jigsaw_core::basis::snapshot::write_atomic;
 use jigsaw_core::basis::{StoreKey, StoreRegistry};
-use jigsaw_core::{JigsawConfig, PersistentPool, WorkerPool};
+use jigsaw_core::{JigsawConfig, PersistentPool};
 use jigsaw_obs::event;
 use jigsaw_pdb::Catalog;
 
@@ -82,9 +82,9 @@ pub struct ServerState {
     pub(crate) snapshot_dir: Option<PathBuf>,
     /// Catalog name, folded into every store key.
     pub(crate) catalog_name: String,
-    /// The worker pool every sweep scatters on — long-lived, shared by all
-    /// connections, so waves never pay thread-spawn churn.
-    pub(crate) pool: Arc<dyn WorkerPool>,
+    /// The worker pool every sweep scatters on — sized to the configured
+    /// thread budget, spawned once at bind, shared by all connections.
+    pub(crate) pool: Arc<PersistentPool>,
     pub(crate) registry: StoreRegistry,
     /// Stores that have been `SAVE`d (or `LOAD`ed), and where — these are
     /// re-snapshotted on shutdown so a restart resumes warm.
@@ -140,7 +140,6 @@ pub struct ServerBuilder {
     snapshot_dir: Option<PathBuf>,
     catalog_name: String,
     catalog: Option<Catalog>,
-    pool: Option<Arc<dyn WorkerPool>>,
     conn_threads: usize,
 }
 
@@ -152,7 +151,6 @@ impl Default for ServerBuilder {
             snapshot_dir: None,
             catalog_name: "default".into(),
             catalog: None,
-            pool: None,
             conn_threads: 1,
         }
     }
@@ -196,14 +194,6 @@ impl ServerBuilder {
         self
     }
 
-    /// The worker pool sweeps scatter on (default: a [`PersistentPool`]
-    /// sized to the configuration's thread budget). Any faithful
-    /// [`WorkerPool`] yields bit-identical sweeps.
-    pub fn pool(mut self, pool: Arc<dyn WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Number of connection event-loop threads (default 1). Each loop
     /// multiplexes many nonblocking connections and comes with one job
     /// runner thread for its long verbs, so this is also how many sweeps,
@@ -223,16 +213,13 @@ impl ServerBuilder {
         }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let pool = self
-            .pool
-            .unwrap_or_else(|| Arc::new(PersistentPool::new(self.cfg.effective_threads())));
         let state = ServerState {
+            pool: Arc::new(PersistentPool::new(self.cfg.effective_threads())),
             catalog: Arc::new(self.catalog.unwrap_or_else(default_catalog)),
             cfg: Arc::new(self.cfg),
             master_seed: self.master_seed,
             snapshot_dir: self.snapshot_dir,
             catalog_name: self.catalog_name,
-            pool,
             registry: StoreRegistry::new(),
             persisted: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),

@@ -1,12 +1,9 @@
 //! Acceptance for anytime estimates over the wire (ISSUE 9): a `SUBSCRIBE`
 //! stream's intervals tighten monotonically, always bracket the converged
 //! expectation, and the closing `EST` is **bit-identical** across thread
-//! budgets 1 and 4 and both worker-pool backends — and equal to the
-//! blocking `ESTIMATE` of the same refined state.
+//! budgets 1 and 4 — and equal to the blocking `ESTIMATE` of the same
+//! refined state.
 
-use std::sync::Arc;
-
-use jigsaw::core::{PersistentPool, ScopedPool, WorkerPool};
 use jigsaw::server::{Client, JigsawServer, Request, Response, ServerHandle};
 
 /// The scenario every configuration compiles (40 points, one column).
@@ -21,16 +18,10 @@ const MASTER_SEED: u64 = 7_171;
 const POINT: usize = 9;
 const EPS: f64 = 0.2;
 
-fn serve(threads: usize, backend: &str) -> ServerHandle {
-    let pool: Arc<dyn WorkerPool> = match backend {
-        "scoped" => Arc::new(ScopedPool),
-        "persistent" => Arc::new(PersistentPool::new(threads)),
-        other => panic!("unknown pool backend {other}"),
-    };
+fn serve(threads: usize) -> ServerHandle {
     JigsawServer::builder()
         .config(jigsaw::core::JigsawConfig::paper().with_n_samples(400).with_threads(threads))
         .master_seed(MASTER_SEED)
-        .pool(pool)
         .bind("127.0.0.1:0")
         .expect("bind loopback")
         .serve()
@@ -47,8 +38,8 @@ fn compile(client: &mut Client) {
 /// Run one cold `SUBSCRIBE POINT 0 EPS` under the given configuration and
 /// return the full frame stream plus the blocking re-estimate that
 /// follows it.
-fn subscribe_run(threads: usize, backend: &str) -> (Vec<Response>, Response) {
-    let handle = serve(threads, backend);
+fn subscribe_run(threads: usize) -> (Vec<Response>, Response) {
+    let handle = serve(threads);
     let mut c = Client::connect(handle.local_addr()).expect("connect");
     compile(&mut c);
     let frames = c.subscribe(POINT, 0, EPS).expect("subscribe stream");
@@ -79,7 +70,7 @@ fn interval_of(resp: &Response) -> (usize, f64, f64) {
 /// issued after the stream.
 #[test]
 fn subscribe_intervals_tighten_and_bracket_the_converged_expectation() {
-    let (frames, blocking) = subscribe_run(1, "scoped");
+    let (frames, blocking) = subscribe_run(1);
     assert!(frames.len() >= 3, "a cold stream must refine, got {} frames", frames.len());
     let (closing, intervals) = frames.split_last().expect("nonempty");
     let expectation = match *closing {
@@ -107,18 +98,15 @@ fn subscribe_intervals_tighten_and_bracket_the_converged_expectation() {
     assert_eq!(&blocking, closing, "blocking ESTIMATE must reproduce the closing EST bits");
 }
 
-/// The determinism contract across execution backends: thread budgets 1
-/// and 4, scoped and persistent pools — four servers, four cold streams,
-/// one byte-identical frame sequence.
+/// The determinism contract across thread budgets 1 and 4: two servers,
+/// two cold streams, one byte-identical frame sequence.
 #[test]
-fn subscribe_streams_bit_identical_across_threads_and_pools() {
-    let (reference, blocking) = subscribe_run(1, "scoped");
+fn subscribe_streams_bit_identical_across_threads() {
+    let (reference, blocking) = subscribe_run(1);
     assert_eq!(blocking, *reference.last().expect("closing EST"));
-    for (threads, backend) in [(4, "scoped"), (1, "persistent"), (4, "persistent")] {
-        let (frames, blocking) = subscribe_run(threads, backend);
-        assert_eq!(frames, reference, "{backend} pool at {threads} threads diverged from scoped/1");
-        assert_eq!(blocking, *frames.last().expect("closing EST"), "{backend}/{threads}");
-    }
+    let (frames, blocking) = subscribe_run(4);
+    assert_eq!(frames, reference, "4 threads diverged from 1");
+    assert_eq!(blocking, *frames.last().expect("closing EST"));
 }
 
 /// Out-of-range and pre-compile `SUBSCRIBE`s answer `ERR` without opening
@@ -126,7 +114,7 @@ fn subscribe_streams_bit_identical_across_threads_and_pools() {
 /// right after the rejections.
 #[test]
 fn rejected_subscribes_leave_the_connection_streaming() {
-    let handle = serve(1, "persistent");
+    let handle = serve(1);
     let mut c = Client::connect(handle.local_addr()).expect("connect");
     // Before COMPILE: state error, exactly one frame.
     let frames = c.subscribe(POINT, 0, EPS).expect("pre-compile subscribe");

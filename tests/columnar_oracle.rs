@@ -6,14 +6,17 @@
 //! same order as the per-world oracle loops. These tests pin that claim
 //! over every axis that could break it: simulation shape (black box vs
 //! both plan engines, det/stoch columns, stochastic filters, every
-//! aggregate), thread budget, window offset, and explicit evaluation
-//! path. Equality is always on `f64::to_bits` — `Vec<f64>` `==` would
+//! aggregate, and every shape the `repro` experiments build), thread
+//! budget, window offset, and explicit evaluation path. Production only
+//! ever runs the columnar path, so this file is where the oracle earns its
+//! keep. Equality is always on `f64::to_bits` — `Vec<f64>` `==` would
 //! falsely reject worlds where a stochastic filter drops every row (the
 //! Min/Max/Avg of an empty world is NaN, identically, on both paths).
 
 use std::sync::Arc;
 
-use jigsaw::blackbox::{FnBlackBox, ParamDecl, ParamSpace};
+use jigsaw::blackbox::models::{Capacity, Demand, MarkovStep, Overload, SynthBasis};
+use jigsaw::blackbox::{BlackBox, FnBlackBox, MarkovModel, ParamDecl, ParamSpace};
 use jigsaw::pdb::{
     eval_batch_on, AggFunc, AggSpec, BinOp, BlackBoxSim, Catalog, CmpOp, ColumnType, DbmsEngine,
     DirectEngine, Engine, EvalPath, Expr, Plan, PlanSim, Simulation, TableBuilder, Value,
@@ -38,33 +41,37 @@ fn bb_sim(master: u64) -> BlackBoxSim {
     BlackBoxSim::new(Arc::new(bb), space, SeedSet::new(master))
 }
 
-fn plan_catalog() -> Arc<Catalog> {
+/// The `items` table: one row per weight (`id` and `grp` ride along
+/// unread).
+fn plan_catalog(weights: &[f64]) -> Arc<Catalog> {
     let mut c = Catalog::new();
     c.add_function(Arc::new(FnBlackBox::new("Noise", 1, |p: &[f64], seed| {
         let mut rng = Xoshiro256pp::seeded(seed);
         p[0] + Normal::standard(&mut rng)
     })));
-    c.add_table(
-        "items",
-        TableBuilder::new()
-            .column("id", ColumnType::Int)
-            .column("grp", ColumnType::Int)
-            .column("w", ColumnType::Float)
-            .row(vec![Value::Int(1), Value::Int(0), Value::Float(1.0)])
-            .row(vec![Value::Int(2), Value::Int(0), Value::Float(2.0)])
-            .row(vec![Value::Int(3), Value::Int(1), Value::Float(3.0)])
-            .row(vec![Value::Int(4), Value::Int(1), Value::Float(4.0)])
-            .build(),
-    );
+    let mut items = TableBuilder::new()
+        .column("id", ColumnType::Int)
+        .column("grp", ColumnType::Int)
+        .column("w", ColumnType::Float);
+    for (i, &w) in weights.iter().enumerate() {
+        items =
+            items.row(vec![Value::Int(i as i64 + 1), Value::Int(i as i64 / 2), Value::Float(w)]);
+    }
+    c.add_table("items", items.build());
     Arc::new(c)
+}
+
+/// [`plan_sim_over`] on four rows, filtered at 6.
+fn plan_sim(engine: Arc<dyn Engine>, master: u64) -> PlanSim {
+    plan_sim_over(engine, master, &[1.0, 2.0, 3.0, 4.0], 6.0)
 }
 
 /// A plan hitting every columnar kernel: a black-box call with a mixed
 /// det/stoch argument, arithmetic and comparison over stochastic columns,
-/// a *stochastic* filter (per-world presence masks), and all five
-/// aggregate functions over both masked and unmasked operands.
-fn plan_sim(engine: Arc<dyn Engine>, master: u64) -> PlanSim {
-    let cat = plan_catalog();
+/// a *stochastic* filter (per-world presence masks, keeping `noisy < cut`),
+/// and all five aggregate functions over both masked and unmasked operands.
+fn plan_sim_over(engine: Arc<dyn Engine>, master: u64, weights: &[f64], cut: f64) -> PlanSim {
+    let cat = plan_catalog(weights);
     let space = ParamSpace::new(vec![ParamDecl::range("x", 0, 3, 1)]);
     let plan = Plan::Scan { table: "items".into() }
         .project(vec![
@@ -79,7 +86,7 @@ fn plan_sim(engine: Arc<dyn Engine>, master: u64) -> PlanSim {
             ("scaled", Expr::bin(BinOp::Mul, Expr::col("noisy"), Expr::lit_f(1.5))),
             ("hot", Expr::cmp(CmpOp::Gt, Expr::col("noisy"), Expr::col("w"))),
         ])
-        .filter(Expr::cmp(CmpOp::Lt, Expr::col("noisy"), Expr::lit_f(6.0)))
+        .filter(Expr::cmp(CmpOp::Lt, Expr::col("noisy"), Expr::lit_f(cut)))
         .aggregate(
             vec![],
             vec![
@@ -164,18 +171,75 @@ proptest! {
     }
 }
 
-/// The fixed corner cases proptest ranges can miss: empty windows, a
-/// one-world window, and a budget far above the window size.
+/// A paper model as the one-column black-box simulation the sweep
+/// experiments build.
+fn model_sim(bb: impl BlackBox + 'static, decls: Vec<ParamDecl>) -> Box<dyn Simulation> {
+    Box::new(BlackBoxSim::new(Arc::new(bb), ParamSpace::new(decls), SeedSet::new(11)))
+}
+
+/// E1's data-bound `UserSelect` query: a per-user black box over the
+/// `users` table, summed per world.
+fn user_select_sim(engine: Arc<dyn Engine>) -> Box<dyn Simulation> {
+    let cat = Arc::new(jigsaw_bench::experiments::user_catalog(40));
+    let plan = Plan::Scan { table: "users".into() }
+        .project(vec![(
+            "req",
+            Expr::call(
+                "UserReq",
+                vec![
+                    Expr::col("id"),
+                    Expr::col("base"),
+                    Expr::col("growth"),
+                    Expr::col("shape"),
+                    Expr::param("week"),
+                ],
+            ),
+        )])
+        .aggregate(
+            vec![],
+            vec![AggSpec { name: "total".into(), func: AggFunc::Sum, arg: Some(Expr::col("req")) }],
+        )
+        .bind(&cat, &["week".to_string()])
+        .unwrap();
+    let space = ParamSpace::new(vec![ParamDecl::range("week", 0, 51, 1)]);
+    Box::new(PlanSim::new(engine, plan, cat, space, SeedSet::new(11)))
+}
+
+/// The fixed corner cases proptest ranges can miss — empty windows, a
+/// one-world window, a budget far above the window size — on every
+/// simulation shape: the proptest inputs, each paper model as the black box
+/// the sweep experiments build (`MarkovStep`'s per-step output included),
+/// and E1's data-bound `UserSelect` plan and a plan-heavy every-kernel plan
+/// over a 24-row table, on both engines.
 #[test]
 fn corner_windows_agree_everywhere() {
+    let week = || ParamDecl::range("week", 0, 51, 1);
+    let purchase = |name| ParamDecl::range(name, 0, 48, 4);
+    let markov = MarkovStep::enterprise();
+    let items: Vec<f64> = (0..24).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
     let sims: Vec<Box<dyn Simulation>> = vec![
         Box::new(bb_sim(21)),
         Box::new(plan_sim(Arc::new(DirectEngine::new()), 21)),
         Box::new(plan_sim(Arc::new(DbmsEngine::new()), 21)),
+        model_sim(Demand::enterprise(), vec![week(), purchase("feature")]),
+        model_sim(Capacity::enterprise(), vec![week(), purchase("p1"), purchase("p2")]),
+        model_sim(Overload::enterprise(), vec![week(), purchase("p1"), purchase("p2")]),
+        model_sim(SynthBasis::new(8), vec![purchase("p")]),
+        model_sim(
+            FnBlackBox::new("MarkovStep", 2, move |p: &[f64], seed| {
+                markov.output(p[0] as usize, p[1], seed)
+            }),
+            vec![week(), purchase("chain")],
+        ),
+        user_select_sim(Arc::new(DirectEngine::new())),
+        user_select_sim(Arc::new(DbmsEngine::new())),
+        Box::new(plan_sim_over(Arc::new(DirectEngine::new()), 21, &items, 8.0)),
+        Box::new(plan_sim_over(Arc::new(DbmsEngine::new()), 21, &items, 8.0)),
     ];
     for sim in &sims {
+        let point = sim.space().point_at(sim.space().len() / 2);
         for (start, count) in [(0, 0), (7, 0), (0, 1), (3, 1), (0, 64), (9, 33)] {
-            assert_paths_agree(sim.as_ref(), &[1.0], start, count);
+            assert_paths_agree(sim.as_ref(), &point, start, count);
         }
     }
 }

@@ -9,7 +9,8 @@
 //! Nothing here depends on timing. The scenario under test evaluates a
 //! black box that blocks at a test-held [`Gate`], so "while the sweep is in
 //! flight" is a state each test enters and leaves explicitly. Every case
-//! runs at `conn_threads` 1 and 4 under both worker pools. The tests share
+//! runs at `conn_threads` 1 and 4 (the server always sweeps on its one
+//! persistent pool, hence the `_persistent` suffix). The tests share
 //! process-wide metrics (one case reads `jigsaw_conn_deferred_total`), so
 //! they serialize on one lock.
 
@@ -22,10 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jigsaw::core::interactive::{Estimate, InteractiveSession, SessionConfig};
-use jigsaw::core::{
-    AffineFamily, JigsawConfig, PersistentPool, ScopedPool, ShardedBasisStore, SweepRunner,
-    WorkerPool,
-};
+use jigsaw::core::{AffineFamily, JigsawConfig, ShardedBasisStore, SweepRunner};
 use jigsaw::pdb::DirectEngine;
 use jigsaw::prng::SeedSet;
 use jigsaw::server::protocol::{recv_response, send_request, MAX_FRAME};
@@ -53,18 +51,12 @@ struct Rig {
 }
 
 impl Rig {
-    fn start(loops: usize, backend: &str, snapshot_dir: Option<PathBuf>) -> Rig {
+    fn start(loops: usize, snapshot_dir: Option<PathBuf>) -> Rig {
         let gate = Gate::new_open();
-        let pool: Arc<dyn WorkerPool> = match backend {
-            "scoped" => Arc::new(ScopedPool),
-            "persistent" => Arc::new(PersistentPool::new(THREADS)),
-            other => panic!("unknown pool backend {other}"),
-        };
         let mut builder = JigsawServer::builder()
             .config(cfg())
             .master_seed(MASTER_SEED)
             .catalog(gated_catalog(&gate))
-            .pool(pool)
             .conn_threads(loops);
         if let Some(dir) = snapshot_dir {
             builder = builder.snapshot_dir(dir);
@@ -185,9 +177,9 @@ fn assert_cold_sweep(resp: &Response, local: &LocalReference) {
 /// Cases (1) and (2): with A's `SWEEP` of X held at the gate, C — on A's
 /// own loop, on another scenario — gets its `EST`; B — on X — is deferred
 /// without stalling anybody, and answers bit-identically once X is free.
-fn foreign_reader_is_served_and_same_scenario_client_deferred(loops: usize, backend: &str) {
+fn foreign_reader_is_served_and_same_scenario_client_deferred(loops: usize) {
     let _g = guard();
-    let rig = Rig::start(loops, backend, None);
+    let rig = Rig::start(loops, None);
     let local = local_reference();
     let mut a = rig.client_on_loop(0);
     let mut b = rig.client_on_loop(1); // another loop when there is one
@@ -247,9 +239,9 @@ fn foreign_reader_is_served_and_same_scenario_client_deferred(loops: usize, back
 
 /// Case (3): `SWEEP` + `ESTIMATE` + `STATS` in one write answer in that
 /// order — the pending job pauses the frames behind it.
-fn frames_pipelined_behind_a_sweep_answer_in_order(loops: usize, backend: &str) {
+fn frames_pipelined_behind_a_sweep_answer_in_order(loops: usize) {
     let _g = guard();
-    let rig = Rig::start(loops, backend, None);
+    let rig = Rig::start(loops, None);
     let local = local_reference();
     let mut a = rig.stream_on_loop(0);
     compile_gated(&mut a);
@@ -278,9 +270,9 @@ fn frames_pipelined_behind_a_sweep_answer_in_order(loops: usize, backend: &str) 
 /// A client that pipelines its whole script and then closes its sending
 /// side (`printf … | nc`) still reads every reply: A's `SWEEP` is in flight
 /// at the EOF, B's frames sit deferred behind A's sweep at theirs.
-fn half_closed_clients_still_get_every_reply(loops: usize, backend: &str) {
+fn half_closed_clients_still_get_every_reply(loops: usize) {
     let _g = guard();
-    let rig = Rig::start(loops, backend, None);
+    let rig = Rig::start(loops, None);
     let local = local_reference();
     let mut a = rig.stream_on_loop(0);
     let mut b = rig.stream_on_loop(1);
@@ -326,9 +318,9 @@ fn half_closed_clients_still_get_every_reply(loops: usize, backend: &str) {
 
 /// Case (4): A disconnects mid-sweep. The job runs on, its result is
 /// discarded, and the next client's sweep of X is all warm hits.
-fn disconnect_mid_sweep_leaves_the_store_warm(loops: usize, backend: &str) {
+fn disconnect_mid_sweep_leaves_the_store_warm(loops: usize) {
     let _g = guard();
-    let rig = Rig::start(loops, backend, None);
+    let rig = Rig::start(loops, None);
     let mut a = rig.stream_on_loop(0);
     compile_gated(&mut a);
     rig.gate.shut();
@@ -351,12 +343,11 @@ fn disconnect_mid_sweep_leaves_the_store_warm(loops: usize, backend: &str) {
 
 /// Case (6): `shutdown()` with a sweep in flight waits for it, and the
 /// re-snapshot that follows carries the sweep's bases.
-fn shutdown_waits_for_the_sweep_in_flight(loops: usize, backend: &str) {
+fn shutdown_waits_for_the_sweep_in_flight(loops: usize) {
     let _g = guard();
-    let dir = std::env::temp_dir()
-        .join(format!("jigsaw-offload-{}-{loops}-{backend}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("jigsaw-offload-{}-{loops}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let rig = Rig::start(loops, backend, Some(dir.clone()));
+    let rig = Rig::start(loops, Some(dir.clone()));
     let local = local_reference();
     let mut a = rig.client_on_loop(0);
     compile(&mut a, GATED_SRC);
@@ -380,7 +371,7 @@ fn shutdown_waits_for_the_sweep_in_flight(loops: usize, backend: &str) {
     });
 
     // A fresh server over the same directory loads what shutdown wrote.
-    let rig = Rig::start(loops, backend, Some(dir.clone()));
+    let rig = Rig::start(loops, Some(dir.clone()));
     let mut c = rig.client_on_loop(0);
     compile(&mut c, GATED_SRC);
     match c.request(&Request::Load { name: "home".into() }).expect("load") {
@@ -397,10 +388,10 @@ fn shutdown_waits_for_the_sweep_in_flight(loops: usize, backend: &str) {
 /// held sweep. The server stops reading once it buffers a maximal frame
 /// (TCP pushes back on the writer), and when the sweep ends every reply
 /// still arrives, in order.
-fn flood_behind_a_sweep_answers_in_order(loops: usize, backend: &str) {
+fn flood_behind_a_sweep_answers_in_order(loops: usize) {
     let _g = guard();
     const ROUNDS: usize = 8;
-    let rig = Rig::start(loops, backend, None);
+    let rig = Rig::start(loops, None);
     let local = local_reference();
     let mut a = rig.stream_on_loop(0);
     compile_gated(&mut a);
@@ -435,7 +426,7 @@ fn flood_behind_a_sweep_answers_in_order(loops: usize, backend: &str) {
 #[test]
 fn long_verbs_before_compile_are_refused_inline() {
     let _g = guard();
-    let rig = Rig::start(1, "persistent", None);
+    let rig = Rig::start(1, None);
     let mut c = rig.client_on_loop(0);
     for req in [Request::Sweep, Request::Tick { count: 1 }, Request::Save { name: "x".into() }] {
         match c.request(&req).expect("answers") {
@@ -449,25 +440,17 @@ fn long_verbs_before_compile_are_refused_inline() {
     rig.handle.shutdown().expect("shutdown");
 }
 
-/// Every case at one and four event loops, under both worker pools.
+/// Every case at one and four event loops.
 macro_rules! matrix {
     ($($case:ident),* $(,)?) => {$(
         mod $case {
             #[test]
-            fn one_loop_scoped() {
-                super::$case(1, "scoped");
-            }
-            #[test]
             fn one_loop_persistent() {
-                super::$case(1, "persistent");
-            }
-            #[test]
-            fn four_loops_scoped() {
-                super::$case(4, "scoped");
+                super::$case(1);
             }
             #[test]
             fn four_loops_persistent() {
-                super::$case(4, "persistent");
+                super::$case(4);
             }
         }
     )*};

@@ -2,17 +2,16 @@
 //! attached to one shared warm store over loopback produce estimates
 //! **bit-identical** to a single local [`InteractiveSession`] over the same
 //! scenario, and the second client's sweep rides the first client's Monte
-//! Carlo work (`warm_hits > 0`) — at thread budgets 1 and 4, under both
-//! worker pools (ISSUE 6: a [`PersistentPool`] sweep must be byte-identical
-//! to a [`ScopedPool`] one).
+//! Carlo work (`warm_hits > 0`) — at thread budgets 1 and 4. The server
+//! sweeps on its [`PersistentPool`]; the local reference sweeps on a
+//! [`ScopedPool`], so every check also pins the two pools bit-identical.
+//!
+//! [`PersistentPool`]: jigsaw::core::PersistentPool
 
 use std::sync::Arc;
 
 use jigsaw::core::interactive::{Estimate, InteractiveSession, SessionConfig};
-use jigsaw::core::{
-    AffineFamily, JigsawConfig, PersistentPool, ScopedPool, ShardedBasisStore, SweepRunner,
-    WorkerPool,
-};
+use jigsaw::core::{AffineFamily, JigsawConfig, ScopedPool, ShardedBasisStore, SweepRunner};
 use jigsaw::pdb::DirectEngine;
 use jigsaw::prng::SeedSet;
 use jigsaw::server::{Client, JigsawServer, Request, Response, ServerHandle};
@@ -28,21 +27,11 @@ fn jigsaw_cfg(threads: usize) -> JigsawConfig {
     JigsawConfig::paper().with_n_samples(120).with_threads(threads)
 }
 
-/// A pool of the named backend, sized to `threads`.
-fn pool_of(backend: &str, threads: usize) -> Arc<dyn WorkerPool> {
-    match backend {
-        "scoped" => Arc::new(ScopedPool),
-        "persistent" => Arc::new(PersistentPool::new(threads)),
-        other => panic!("unknown pool backend {other}"),
-    }
-}
-
-/// A served test server over `jigsaw_cfg(threads)` and the given pool.
-fn serve(threads: usize, backend: &str) -> ServerHandle {
+/// A served test server over `jigsaw_cfg(threads)`.
+fn serve(threads: usize) -> ServerHandle {
     JigsawServer::builder()
         .config(jigsaw_cfg(threads))
         .master_seed(MASTER_SEED)
-        .pool(pool_of(backend, threads))
         .bind("127.0.0.1:0")
         .expect("bind loopback")
         .serve()
@@ -55,7 +44,8 @@ fn probes() -> Vec<usize> {
 }
 
 /// The reference: a purely local warm session over the same scenario —
-/// same catalog, seeds, config, and operation sequence as each client.
+/// same catalog, seeds, config, and operation sequence as each client —
+/// whose sweep runs on the [`ScopedPool`] reference.
 struct LocalReference {
     estimates: Vec<Estimate>,
     post_tick: Estimate,
@@ -72,7 +62,11 @@ fn local_reference(threads: usize) -> LocalReference {
     ));
     let cfg = jigsaw_cfg(threads);
     let mut store = ShardedBasisStore::new(scenario.columns.len(), &cfg, Arc::new(AffineFamily));
-    let sweep = SweepRunner::new(cfg.clone()).store(&mut store).run(&*sim).expect("local sweep");
+    let sweep = SweepRunner::new(cfg.clone())
+        .pool(Arc::new(ScopedPool))
+        .store(&mut store)
+        .run(&*sim)
+        .expect("local sweep");
     assert_eq!(sweep.stats.points, 60);
     let mut session =
         InteractiveSession::with_store(sim.clone(), SessionConfig::from_jigsaw(&cfg), store);
@@ -122,8 +116,8 @@ fn compile(client: &mut Client, who: &str) {
     }
 }
 
-fn two_clients_share_one_warm_store(threads: usize, backend: &str) {
-    let handle = serve(threads, backend);
+fn two_clients_share_one_warm_store(threads: usize) {
+    let handle = serve(threads);
     let local = local_reference(threads);
 
     // Both connections are open at once — the store is concurrently shared,
@@ -214,30 +208,20 @@ fn two_clients_share_one_warm_store(threads: usize, backend: &str) {
 }
 
 #[test]
-fn two_clients_share_one_warm_store_sequential_scoped() {
-    two_clients_share_one_warm_store(1, "scoped");
-}
-
-#[test]
-fn two_clients_share_one_warm_store_threaded_scoped() {
-    two_clients_share_one_warm_store(4, "scoped");
-}
-
-#[test]
 fn two_clients_share_one_warm_store_sequential_persistent() {
-    two_clients_share_one_warm_store(1, "persistent");
+    two_clients_share_one_warm_store(1);
 }
 
 #[test]
 fn two_clients_share_one_warm_store_threaded_persistent() {
-    two_clients_share_one_warm_store(4, "persistent");
+    two_clients_share_one_warm_store(4);
 }
 
 /// Out-of-range and out-of-state commands draw `ERR` responses and leave
 /// the connection usable.
 #[test]
 fn protocol_errors_keep_the_connection_alive() {
-    let handle = serve(1, "persistent");
+    let handle = serve(1);
     let mut c = Client::connect(handle.local_addr()).expect("connect");
     // Session commands before COMPILE → state error.
     match c.request(&Request::Sweep).expect("pre-compile sweep") {

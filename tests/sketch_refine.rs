@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use jigsaw::blackbox::models::{Demand, SynthBasis};
 use jigsaw::blackbox::{BlackBox, ParamDecl, ParamSpace};
-use jigsaw::core::{JigsawConfig, PersistentPool, SweepRunner};
+use jigsaw::core::{JigsawConfig, ScopedPool, SweepRunner};
 use jigsaw::pdb::BlackBoxSim;
 use jigsaw::prng::SeedSet;
 use proptest::prelude::*;
@@ -46,7 +46,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// (config, seed) → identical surviving frontier and identical final
-    /// tables across threads 1/4, wave sizes, and both pool backends.
+    /// tables across threads 1/4, wave sizes, and the persistent pool every
+    /// runner builds vs the scoped reference pool.
     #[test]
     fn sketch_sweep_identical_across_threads_waves_and_pools(
         master in 0u64..500,
@@ -75,12 +76,12 @@ proptest! {
                 .unwrap();
             assert_bit_identical(&base, &r, &format!("sketch wave={wave}"));
         }
-        let persistent = SweepRunner::new(cfg.clone().with_threads(4))
-            .pool(Arc::new(PersistentPool::new(4)))
+        let scoped = SweepRunner::new(cfg.clone().with_threads(4))
+            .pool(Arc::new(ScopedPool))
             .run(&sim)
             .unwrap();
-        assert_bit_identical(&base, &persistent, "sketch persistent pool");
-        prop_assert_eq!(frontier(&base), frontier(&persistent));
+        assert_bit_identical(&base, &scoped, "sketch scoped pool");
+        prop_assert_eq!(frontier(&base), frontier(&scoped));
     }
 
     /// Mixed reuse-friendly model: sketch determinism holds when coarse
@@ -95,7 +96,7 @@ proptest! {
         let cfg = JigsawConfig::paper().with_n_samples(60).with_sketch(20, 2);
         let base = SweepRunner::new(cfg.clone().with_threads(1)).run(&sim).unwrap();
         let par = SweepRunner::new(cfg.clone().with_threads(4))
-            .pool(Arc::new(PersistentPool::new(4)))
+            .pool(Arc::new(ScopedPool))
             .run(&sim)
             .unwrap();
         assert_bit_identical(&base, &par, &format!("SynthBasis({n_bases}) sketch"));
