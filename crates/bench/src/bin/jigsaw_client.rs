@@ -15,9 +15,8 @@
 //!
 //! With `--soak N`, the script is replayed by N concurrent connections and
 //! every transcript is byte-compared against the first — the CI soak smoke
-//! uses this to drive ≥100 clients through the readiness connection layer
-//! and prove they all read the same warm store. One transcript is printed
-//! either way.
+//! uses this to drive ≥100 concurrent clients through the server and prove
+//! they all read the same warm store. One transcript is printed either way.
 //!
 //! Exit status: 0 when the script was replayed (even if some commands drew
 //! `ERR` responses — those are part of the transcript), 1 on a transport or

@@ -18,8 +18,8 @@
 //!
 //! The second half (ISSUE 6) is the **connection ladder**: after the store
 //! is warm, N concurrent scripted clients — N climbing to 400 — connect,
-//! compile, and estimate against a server running a handful of readiness
-//! event loops. Every client's estimates must be bit-identical to every
+//! compile, and estimate against the server, one blocking thread per
+//! connection. Every client's estimates must be bit-identical to every
 //! other's (same store, same seeds), and the reported metric is mean
 //! µs/estimate as a function of connection count.
 
@@ -58,7 +58,7 @@ pub struct E10Row {
 }
 
 /// One rung of the connection ladder: N concurrent clients estimating
-/// against the warm store through the readiness-driven connection layer.
+/// against the warm store, each on its own server thread.
 #[derive(Debug, Clone)]
 pub struct E10Ladder {
     /// Concurrent client connections in this rung.
@@ -203,7 +203,6 @@ pub fn run(scale: Scale) -> (Vec<E10Row>, Vec<E10Ladder>) {
                 .with_threads(scale.threads),
         )
         .catalog(catalog_with_work(points))
-        .conn_threads(4)
         .bind("127.0.0.1:0")
         .expect("bind loopback")
         .serve()

@@ -119,7 +119,7 @@ fn sweep_workload(scale: Scale) -> E14Row {
 
 /// The E10-shape server session: a loopback server, one client paying a
 /// cold `SWEEP` then estimating every point — exercising the per-verb
-/// request instruments, the event-loop gauges, and the session counters on
+/// request instruments, the connection gauges, and the session counters on
 /// top of the core set.
 fn server_workload(scale: Scale) -> E14Row {
     let weeks: usize = if scale.space_divisor > 1 { 30 } else { 60 };

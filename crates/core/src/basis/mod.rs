@@ -76,6 +76,7 @@ pub struct BasisDistribution {
 /// column of one simulation.
 pub struct BasisStore {
     bases: Vec<BasisDistribution>,
+    strategy: IndexStrategy,
     index: Box<dyn FingerprintIndex>,
     family: Arc<dyn MappingFamily>,
     tolerance: f64,
@@ -100,6 +101,7 @@ impl BasisStore {
     ) -> Self {
         BasisStore {
             bases: Vec::new(),
+            strategy,
             index: make_index(strategy, tolerance),
             family,
             tolerance,
@@ -184,6 +186,22 @@ impl BasisStore {
         debug_assert_eq!(self.bases[id.0].metrics.n(), 0, "basis {id:?} committed twice");
         self.bases[id.0].metrics = metrics;
         self.staged -= 1;
+    }
+
+    /// Drop every staged basis and rebuild the index over the committed
+    /// ones, as if the staged fingerprints had never been registered — the
+    /// rollback of a sweep that failed mid-wave. Staged bases are always a
+    /// suffix (staging and commits both run in enumeration order).
+    pub fn discard_staged(&mut self) {
+        if self.staged == 0 {
+            return;
+        }
+        self.bases.truncate(self.bases.len() - self.staged);
+        self.staged = 0;
+        self.index = make_index(self.strategy, self.tolerance);
+        for basis in &self.bases {
+            self.index.insert(basis.id.0, &basis.fingerprint);
+        }
     }
 
     /// Resolve metrics for a fingerprint: reuse through a mapping when one
@@ -304,6 +322,11 @@ impl ShardedBasisStore {
     /// end; asserted by the executor in debug builds).
     pub fn staged_total(&self) -> usize {
         self.shards.iter().map(|s| s.staged()).sum()
+    }
+
+    /// [`BasisStore::discard_staged`] on every shard.
+    pub fn discard_staged(&mut self) {
+        self.shards.iter_mut().for_each(BasisStore::discard_staged);
     }
 }
 

@@ -32,20 +32,10 @@
 //! scenario all warm hits. Finer-grained sweep locking (per-wave windows)
 //! is future work.
 //!
-//! A thread that multiplexes many clients (the session server's event
-//! loop) must not *sleep* on that lock, or one scenario's sweep stalls
-//! every scenario it serves. So a sweep is announced before it is queued:
-//! [`SharedBasisStore::announce_sweep`] raises an in-flight mark beside the
-//! lock, the returned guard lowers it once the sweep has released the lock,
-//! and [`SharedBasisStore::sweep_in_flight`] lets the multiplexer set a
-//! same-scenario client aside instead of locking (everything a session is
-//! *attached* with — [`SharedBasisStore::generation`],
-//! [`SharedBasisStore::n_shards`] — reads no lock at all). The mark is
-//! advisory, not a second lock: raised and checked on one thread it is
-//! exact; a thread that checks, sees no mark and then locks can still lose
-//! the race against a sweep announced on *another* thread in that
-//! sub-microsecond window, and then waits as the contract above says —
-//! correct, just slow for that one sweep.
+//! Everything a session is *attached* with — [`SharedBasisStore::generation`]
+//! and [`SharedBasisStore::n_shards`] — reads no lock at all, so a client
+//! can attach to a store while it is being swept; only its first touch
+//! waits for the sweep.
 //!
 //! ## Generations
 //!
@@ -56,7 +46,7 @@
 //! of dereferencing stale ids.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::basis::snapshot::SnapshotError;
@@ -108,26 +98,12 @@ struct Inner {
     /// One shard per output column, fixed for the handle's lifetime
     /// ([`SharedBasisStore::replace`] keeps it).
     n_shards: usize,
-    /// Sweeps announced and not yet finished (see the module docs).
-    sweeps: AtomicUsize,
 }
 
 /// A cheaply-cloneable handle to one warm [`ShardedBasisStore`] shared by
 /// any number of sweeps and interactive sessions.
 pub struct SharedBasisStore {
     inner: Arc<Inner>,
-}
-
-/// The raised in-flight mark of one announced sweep (see
-/// [`SharedBasisStore::announce_sweep`]); dropping it lowers the mark.
-pub struct SweepInFlight {
-    inner: Arc<Inner>,
-}
-
-impl Drop for SweepInFlight {
-    fn drop(&mut self) {
-        self.inner.sweeps.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl Clone for SharedBasisStore {
@@ -160,23 +136,8 @@ impl SharedBasisStore {
                 n_shards: store.n_shards(),
                 store: RwLock::new(store),
                 generation: AtomicU64::new(0),
-                sweeps: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// Announce a sweep of this store *before* it starts waiting for the
-    /// write lock: raises the in-flight mark until the returned guard is
-    /// dropped, which must happen after the sweep released the lock.
-    pub fn announce_sweep(&self) -> SweepInFlight {
-        self.inner.sweeps.fetch_add(1, Ordering::SeqCst);
-        SweepInFlight { inner: Arc::clone(&self.inner) }
-    }
-
-    /// Whether an announced sweep holds (or is about to take) the write
-    /// lock, i.e. whether locking now means waiting out a whole sweep.
-    pub fn sweep_in_flight(&self) -> bool {
-        self.inner.sweeps.load(Ordering::SeqCst) > 0
     }
 
     /// Number of live handles to this store (sessions attached + registry).
@@ -398,21 +359,6 @@ mod tests {
         let shared = SharedBasisStore::new(1, &c, Arc::new(AffineFamily));
         insert_basis(&shared, 0, &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(shared.generation(), 0);
-    }
-
-    #[test]
-    fn sweep_mark_is_shared_by_clones_and_lowered_on_drop() {
-        let c = cfg();
-        let a = SharedBasisStore::new(1, &c, Arc::new(AffineFamily));
-        let b = a.clone();
-        assert!(!b.sweep_in_flight());
-        let first = a.announce_sweep();
-        let second = b.announce_sweep();
-        assert!(a.sweep_in_flight() && b.sweep_in_flight());
-        drop(first);
-        assert!(b.sweep_in_flight(), "one announced sweep is still running");
-        drop(second);
-        assert!(!a.sweep_in_flight());
     }
 
     #[test]

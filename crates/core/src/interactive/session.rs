@@ -1055,7 +1055,7 @@ mod tests {
         // Path A: the blocking loop.
         let mut blocking = InteractiveSession::new(s.clone(), SessionConfig::default());
         let bounded = blocking.estimate_bounded(9, 0, eps).unwrap();
-        // Path B: the server's per-pump stepping — touch, then refine one
+        // Path B: the server's SUBSCRIBE stepping — touch, then refine one
         // batch at a time until the width crosses eps.
         let mut streaming = InteractiveSession::new(s.clone(), SessionConfig::default());
         let mut est = streaming.refine_once(9, 0).unwrap();

@@ -229,7 +229,30 @@ pub(crate) fn execute(
 /// One executor pass over `plan.subset` (default: the whole space) — the
 /// wave loop shared by exhaustive sweeps and both halves of a
 /// sketch-then-refine sweep.
+///
+/// A pass that fails (a model panicked or errored) returns mid-wave, with
+/// that wave's misses staged but never committed. They are discarded here:
+/// a staged basis has no metrics, so it must neither be mapped onto by a
+/// later sweep nor block a snapshot. Bases committed before the failure
+/// stay, so a failed sweep still warms the store, as a disconnected one
+/// does.
 fn execute_pass(
+    cfg: &JigsawConfig,
+    disable_reuse: bool,
+    sim: &dyn Simulation,
+    stores: &mut ShardedBasisStore,
+    pool: &dyn WorkerPool,
+    plan: PassPlan<'_>,
+) -> Result<SweepResult> {
+    let result = run_waves(cfg, disable_reuse, sim, stores, pool, plan);
+    if result.is_err() {
+        stores.discard_staged();
+    }
+    result
+}
+
+/// The wave loop of [`execute_pass`].
+fn run_waves(
     cfg: &JigsawConfig,
     disable_reuse: bool,
     sim: &dyn Simulation,
@@ -904,14 +927,41 @@ mod tests {
     /// at every point, so every point needs its own basis and the
     /// exhaustive sweep pays full budget everywhere.
     fn no_reuse_sim(points: i64) -> BlackBoxSim {
+        panicking_sim(points, None)
+    }
+
+    /// [`no_reuse_sim`]'s model, panicking at `p == panic_at`.
+    fn panicking_sim(points: i64, panic_at: Option<f64>) -> BlackBoxSim {
         use jigsaw_prng::{dist::Normal, Xoshiro256pp};
         let space = ParamSpace::new(vec![ParamDecl::range("p", 0, points - 1, 1)]);
-        let bb = FnBlackBox::new("wild", 1, |p: &[f64], s| {
+        let bb = FnBlackBox::new("wild", 1, move |p: &[f64], s| {
+            assert_ne!(Some(p[0]), panic_at, "deliberate test panic");
             let mut rng = Xoshiro256pp::seeded(s);
             let z = Normal::standard(&mut rng);
             p[0] * 0.01 + z + (1.0 + p[0]) * z * z * z * 0.05
         });
         BlackBoxSim::new(Arc::new(bb), space, SeedSet::new(41))
+    }
+
+    #[test]
+    fn a_failed_sweep_discards_its_staged_bases_and_keeps_committed_ones() {
+        // Waves of 4 over 10 reuse-hostile points: wave 1 commits points
+        // 0..4, wave 2 stages point 4 and then fails on point 5's head.
+        let sim = panicking_sim(10, Some(5.0));
+        let c = cfg().with_wave_size(4);
+        let mut stores = ShardedBasisStore::new(1, &c, Arc::new(crate::mapping::AffineFamily));
+        assert!(SweepRunner::new(c.clone()).store(&mut stores).run(&sim).is_err());
+        assert_eq!(stores.staged_total(), 0, "no staged basis outlives the failed sweep");
+        assert_eq!(stores.bases_per_column(), vec![4], "the committed wave stays warm");
+        for basis in stores.shard(0).bases() {
+            assert_eq!(basis.metrics.n(), c.n_samples, "basis {:?} lost its samples", basis.id);
+        }
+        stores.to_snapshot_bytes(&c, "affine").expect("the store still snapshots");
+        // A later sweep of a healthy model resolves against the kept bases
+        // only: points 0..4 ride them, nothing maps onto an empty basis.
+        let healthy = SweepRunner::new(c).store(&mut stores).run(&no_reuse_sim(10)).unwrap();
+        assert_eq!(healthy.stats.warm_hits, 4);
+        assert!(healthy.points.iter().all(|p| p.metrics[0].n() == 120));
     }
 
     #[test]

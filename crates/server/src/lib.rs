@@ -3,11 +3,9 @@
 //! The single-process optimizer turned into a service: a dependency-free
 //! TCP server (std only) that exposes scenario compilation, batch sweeps,
 //! and interactive what-if sessions over a length-prefixed line protocol
-//! ([`protocol`]). Connections are multiplexed by a small set of
-//! readiness-polling event loops over nonblocking sockets, so hundreds of
-//! concurrent clients cost a handful of threads rather than one each; long
-//! verbs (sweeps, ticks, snapshot I/O) run on a job-runner thread beside
-//! each loop, so they never stall that loop's other clients.
+//! ([`protocol`]). Every connection is served by a blocking thread of its
+//! own, which reads a frame, executes it and writes the reply, so one
+//! client's sweep (or a client that stops reading) never stalls another's.
 //! Every client connection compiles its scenario against the server's
 //! model catalog and attaches to the **one shared warm
 //! [`SharedBasisStore`](jigsaw_core::SharedBasisStore)** for that
@@ -44,7 +42,6 @@
 pub mod catalog;
 pub mod client;
 mod conn;
-mod jobs;
 pub mod protocol;
 mod server;
 

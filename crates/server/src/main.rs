@@ -3,7 +3,6 @@
 //! ```text
 //! jigsaw-server [--addr HOST:PORT] [--threads N] [--n-samples N]
 //!               [--fingerprint-len M] [--seed N] [--snapshot-dir DIR]
-//!               [--conn-threads N]
 //!               [--sketch-budget S] [--refine-top-k K]
 //!               [--trace] [--metrics-dump SECS]
 //! ```
@@ -65,9 +64,6 @@ fn main() {
     }
     if let Some(dir) = value_of("--snapshot-dir") {
         builder = builder.snapshot_dir(PathBuf::from(dir));
-    }
-    if let Some(n) = parse_num("--conn-threads") {
-        builder = builder.conn_threads(n);
     }
     // `--trace` is the flag form of JIGSAW_TRACE=1: NDJSON span records on
     // stderr. Purely observational — the golden-transcript byte diff holds

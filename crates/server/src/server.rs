@@ -1,33 +1,28 @@
-//! Server assembly: the builder, the shared state, and the readiness-driven
-//! connection loops.
+//! Server assembly: the builder, the shared state, the acceptor, and one
+//! blocking thread per connection.
 //!
-//! The server runs a small, fixed set of **event-loop threads**
-//! ([`ServerBuilder::conn_threads`]), each multiplexing many nonblocking
-//! connections instead of dedicating an OS thread per client. Loop 0 also
-//! owns the (nonblocking) listener and deals accepted connections round-robin
-//! across the loops; every loop then repeatedly *pumps* its connections —
-//! flush pending output, read what the socket has, execute any complete
-//! frames — and parks only when a full pass made no progress, backing off
-//! exponentially from 50µs (invisible next to a single world evaluation)
-//! to ~5ms while the quiet spell lasts, and snapping back to the floor on
-//! any readiness.
+//! An **acceptor thread** (`jigsaw-accept`) blocks in `accept()`; each
+//! accepted connection gets a thread of its own (`jigsaw-conn-<n>`) that
+//! blocks in `read` until its client sends a frame, executes it, writes the
+//! reply, and reads again (see [`crate::conn`]). The kernel does the rest:
+//! a thread wakes when bytes arrive, a client that stops reading blocks
+//! only its own thread, and a quiet server costs no CPU. The traffic this
+//! server sees — a handful of interactive clients, a few hundred in the
+//! soak and connection-ladder gates — is far inside what threads handle.
 //!
-//! A loop thread only ever runs *short* verbs. Beside each loop runs one
-//! **job runner** thread (`jigsaw-job-<i>`, see [`crate::jobs`]) that
-//! executes that loop's long verbs — sweeps, ticks, snapshot saves and
-//! loads — one at a time in arrival order, and unparks the loop when one
-//! finishes; so a sweep delays its own client (and, through the store
-//! lock, other clients of the same scenario), never the rest of the loop.
-//! A sweep's parallelism comes from the shared [`PersistentPool`], not from
-//! runners or loops, and the store lock serializes concurrent sweeps of
-//! one scenario anyway (that serialization is exactly what makes the
-//! second sweep all warm hits).
+//! A sweep runs on its client's thread and scatters its worlds on the
+//! shared [`PersistentPool`], so its parallelism comes from the pool, not
+//! from connections; the store lock serializes concurrent sweeps of one
+//! scenario anyway (that serialization is exactly what makes the second
+//! sweep all warm hits), and a client of the scenario being swept waits on
+//! that lock on its own thread while every other client is served.
+//!
+//! The acceptor tracks each live connection's socket and thread, which is
+//! what lets [`ServerHandle::shutdown`] unblock and join them all.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -38,9 +33,7 @@ use jigsaw_core::{JigsawConfig, PersistentPool};
 use jigsaw_obs::event;
 use jigsaw_pdb::Catalog;
 
-use crate::conn::Conn;
 use crate::default_catalog;
-use crate::jobs::{job_channel, JobQueue};
 
 /// The mapping family every server store is built on.
 pub(crate) const FAMILY: &str = "affine";
@@ -68,6 +61,19 @@ pub(crate) fn snapshot_filename(name: &str, key: &StoreKey) -> String {
     format!("{name}-{:016x}.snap", fnv64(&key.scope))
 }
 
+/// The live connections, as the acceptor registered them.
+#[derive(Default)]
+struct Conns {
+    /// Set once by [`ServerHandle::shutdown`]; nothing registers after it.
+    closed: bool,
+    next_id: u64,
+    /// Each connection's socket, shared with its thread (shutdown unblocks
+    /// the thread through it), and the thread (`None` for the instant
+    /// between registration and spawn). A connection thread removes its
+    /// own entry when it ends.
+    live: HashMap<u64, (Arc<TcpStream>, Option<JoinHandle<()>>)>,
+}
+
 /// State shared by every connection: the catalog, the configuration, the
 /// worker pool, and the warm-store registry.
 pub struct ServerState {
@@ -89,7 +95,7 @@ pub struct ServerState {
     /// Stores that have been `SAVE`d (or `LOAD`ed), and where — these are
     /// re-snapshotted on shutdown so a restart resumes warm.
     pub(crate) persisted: Mutex<HashMap<StoreKey, PathBuf>>,
-    shutdown: AtomicBool,
+    conns: Mutex<Conns>,
 }
 
 impl ServerState {
@@ -99,10 +105,9 @@ impl ServerState {
         self.persisted.lock().expect("persisted map poisoned").insert(key, path);
     }
 
-    /// Re-snapshot every store with a recorded on-disk home. Called on
-    /// `SAVE` (for the one store) and at shutdown (for all of them), so the
-    /// disk copy never lags the warm in-memory store by more than the work
-    /// done since the last call.
+    /// Re-snapshot every store with a recorded on-disk home. Called at
+    /// shutdown, once no connection can be writing a store, so a restart
+    /// resumes warm.
     pub(crate) fn resnapshot_persisted(&self) -> std::io::Result<()> {
         let persisted = self.persisted.lock().expect("persisted map poisoned");
         for (key, path) in persisted.iter() {
@@ -115,9 +120,8 @@ impl ServerState {
         Ok(())
     }
 
-    /// Whether [`ServerHandle::shutdown`] has begun.
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    fn conns(&self) -> std::sync::MutexGuard<'_, Conns> {
+        self.conns.lock().expect("connection table poisoned")
     }
 }
 
@@ -140,7 +144,6 @@ pub struct ServerBuilder {
     snapshot_dir: Option<PathBuf>,
     catalog_name: String,
     catalog: Option<Catalog>,
-    conn_threads: usize,
 }
 
 impl Default for ServerBuilder {
@@ -151,7 +154,6 @@ impl Default for ServerBuilder {
             snapshot_dir: None,
             catalog_name: "default".into(),
             catalog: None,
-            conn_threads: 1,
         }
     }
 }
@@ -194,16 +196,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Number of connection event-loop threads (default 1). Each loop
-    /// multiplexes many nonblocking connections and comes with one job
-    /// runner thread for its long verbs, so this is also how many sweeps,
-    /// ticks and snapshot saves/loads can execute at once; short verbs are
-    /// never held up by a long one, whatever the count.
-    pub fn conn_threads(mut self, threads: usize) -> Self {
-        self.conn_threads = threads.max(1);
-        self
-    }
-
     /// Bind to `addr` (use port 0 for an ephemeral loopback port),
     /// producing a bound-but-not-yet-serving [`JigsawServer`].
     pub fn bind(self, addr: impl ToSocketAddrs) -> std::io::Result<JigsawServer> {
@@ -212,7 +204,6 @@ impl ServerBuilder {
             std::fs::create_dir_all(dir)?;
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let state = ServerState {
             pool: Arc::new(PersistentPool::new(self.cfg.effective_threads())),
             catalog: Arc::new(self.catalog.unwrap_or_else(default_catalog)),
@@ -222,9 +213,9 @@ impl ServerBuilder {
             catalog_name: self.catalog_name,
             registry: StoreRegistry::new(),
             persisted: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(Conns::default()),
         };
-        Ok(JigsawServer { listener, state: Arc::new(state), conn_threads: self.conn_threads })
+        Ok(JigsawServer { listener, state: Arc::new(state) })
     }
 }
 
@@ -232,7 +223,6 @@ impl ServerBuilder {
 pub struct JigsawServer {
     listener: TcpListener,
     pub(crate) state: Arc<ServerState>,
-    conn_threads: usize,
 }
 
 impl JigsawServer {
@@ -246,148 +236,90 @@ impl JigsawServer {
         self.listener.local_addr()
     }
 
-    /// Spawn the event loops, and a job runner beside each, and start
-    /// serving. The returned handle stops the server on
-    /// [`ServerHandle::shutdown`] or waits forever on [`ServerHandle::join`].
+    /// Spawn the acceptor and start serving. The returned handle stops the
+    /// server on [`ServerHandle::shutdown`] or waits forever on
+    /// [`ServerHandle::join`].
     pub fn serve(self) -> std::io::Result<ServerHandle> {
         let addr = self.listener.local_addr()?;
-        let state = self.state;
-        let mut loops = Vec::with_capacity(self.conn_threads);
-        let mut runners = Vec::with_capacity(self.conn_threads);
-        let mut spawn_loop = |i: usize, listener, peers, rx| -> std::io::Result<()> {
-            let (jobs, runner) = job_channel(i);
-            let st = Arc::clone(&state);
-            let event_loop = std::thread::Builder::new()
-                .name(format!("jigsaw-conn-{i}"))
-                .spawn(move || event_loop(i, listener, peers, rx, jobs, &st))?;
-            let wake = event_loop.thread().clone();
-            let st = Arc::clone(&state);
-            loops.push(event_loop);
-            runners.push(
-                std::thread::Builder::new()
-                    .name(format!("jigsaw-job-{i}"))
-                    .spawn(move || runner.run(wake, &st))?,
-            );
-            Ok(())
-        };
-        let mut peers: Vec<Sender<Conn>> = Vec::new();
-        for i in 1..self.conn_threads {
-            let (tx, rx) = std::sync::mpsc::channel();
-            peers.push(tx);
-            spawn_loop(i, None, Vec::new(), Some(rx))?;
-        }
-        spawn_loop(0, Some(self.listener), peers, None)?;
-        Ok(ServerHandle { addr, state, loops, runners })
+        let state = Arc::clone(&self.state);
+        let acceptor = std::thread::Builder::new()
+            .name("jigsaw-accept".into())
+            .spawn(move || accept_loop(self.listener, self.state))?;
+        Ok(ServerHandle { addr, state, acceptor })
     }
 }
 
-/// One readiness loop: accept (loop 0 only), adopt handed-over connections,
-/// pump everything, park briefly when idle.
-fn event_loop(
-    loop_ix: usize,
-    listener: Option<TcpListener>,
-    peers: Vec<Sender<Conn>>,
-    rx: Option<Receiver<Conn>>,
-    jobs: JobQueue,
-    state: &Arc<ServerState>,
-) {
-    // Loop-layer instruments: accept rate (loop 0 only in practice), the
-    // process-wide live-connection gauge, pump-pass latency over non-empty
-    // connection lists, and this loop's current idle backoff.
+/// The acceptor: register every accepted connection and give it a thread,
+/// until [`ServerHandle::shutdown`] closes the table.
+fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     let g = jigsaw_obs::global();
     let accepts = g.counter("jigsaw_accepts_total", &[]);
     let live = g.gauge("jigsaw_conns_live", &[]);
-    let pump_us = g.histogram("jigsaw_pump_pass_us", &[]);
-    let backoff = g.gauge("jigsaw_idle_backoff_us", &[("loop", &loop_ix.to_string())]);
-    event!("server.loop_start", loop_ix = loop_ix);
-    let mut conns: Vec<Conn> = Vec::new();
-    // Round-robin seat for the next accepted connection: 0 is this loop,
-    // 1..=peers.len() the other loops.
-    let mut next_seat = 0usize;
-    // Idle backoff: the first idle pass parks 50µs (invisible next to a
-    // world evaluation); consecutive idle passes double the park up to
-    // ~5ms, so a quiet server costs ~200 wakeups/s per loop instead of
-    // 20000. Any readiness resets to the floor, keeping first-byte
-    // latency on a busy connection unchanged. The park is a
-    // `park_timeout`, so this loop's job runner cuts it short the moment a
-    // job finishes; sockets still wait it out.
-    const IDLE_FLOOR: Duration = Duration::from_micros(50);
-    const IDLE_CEIL: Duration = Duration::from_micros(5_000);
-    let mut idle_park = IDLE_FLOOR;
-    while !state.is_shutting_down() {
-        let mut progress = false;
-        // Whether some connection sat out work because its store is being
-        // swept (see `ConnStatus::deferred`).
-        let mut deferred = false;
-        if let Some(listener) = &listener {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        progress = true;
-                        accepts.inc();
-                        live.add(1);
-                        event!("server.accept", seat = next_seat);
-                        let Ok(conn) = Conn::new(stream) else {
-                            live.add(-1);
-                            continue;
-                        };
-                        if next_seat == 0 {
-                            conns.push(conn);
-                        } else if let Err(back) = peers[next_seat - 1].send(conn) {
-                            // Peer already gone (shutdown race): keep it here.
-                            conns.push(back.0);
-                        }
-                        next_seat = (next_seat + 1) % (peers.len() + 1);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
+    loop {
+        let accepted = listener.accept();
+        let mut conns = state.conns();
+        if conns.closed {
+            // Shutdown's wake-up connection, or a client racing it.
+            return;
         }
-        if let Some(rx) = &rx {
-            while let Ok(conn) = rx.try_recv() {
-                conns.push(conn);
-                progress = true;
-            }
-        }
-        if !conns.is_empty() {
-            // Time only non-empty passes: an idle loop's empty sweeps
-            // would otherwise bury the latency signal in zeros.
-            let t0 = std::time::Instant::now();
-            conns.retain_mut(|conn| {
-                let status = conn.pump(state, &jobs);
-                progress |= status.progressed;
-                deferred |= status.deferred;
-                if !status.open {
-                    live.add(-1);
-                }
-                status.open
+        let Ok((stream, _)) = accepted else {
+            // Transient (a peer gone before accept) or resource exhaustion
+            // (out of descriptors): retry shortly rather than spin.
+            drop(conns);
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        let stream = Arc::new(stream);
+        let id = conns.next_id;
+        conns.next_id += 1;
+        conns.live.insert(id, (Arc::clone(&stream), None));
+        drop(conns);
+        accepts.inc();
+        live.add(1);
+        event!("server.accept", conn = id);
+        let (st, gone) = (Arc::clone(&state), live.clone());
+        let spawned =
+            std::thread::Builder::new().name(format!("jigsaw-conn-{id}")).spawn(move || {
+                crate::conn::serve(stream, &st);
+                st.conns().live.remove(&id);
+                gone.add(-1);
             });
-            pump_us.record_duration(t0.elapsed());
+        match spawned {
+            // A thread that already ended removed its entry, and its
+            // handle has nothing left to join.
+            Ok(thread) => {
+                if let Some(entry) = state.conns().live.get_mut(&id) {
+                    entry.1 = Some(thread);
+                }
+            }
+            // No thread, no connection: the failed spawn dropped its
+            // share of the stream and the table drops the other, which
+            // closes it.
+            Err(_) => {
+                state.conns().live.remove(&id);
+                live.add(-1);
+            }
         }
-        if !progress {
-            // Nothing moved on any connection: park, backing off while the
-            // quiet spell lasts — except while a connection is deferred:
-            // the sweep it waits for may end on another loop's runner,
-            // which wakes nobody here, so stay at the floor.
-            std::thread::park_timeout(idle_park);
-            idle_park = if deferred { IDLE_FLOOR } else { (idle_park * 2).min(IDLE_CEIL) };
-        } else {
-            idle_park = IDLE_FLOOR;
-        }
-        backoff.set(if progress { 0 } else { idle_park.as_micros() as i64 });
     }
-    // Shutdown drops whatever connections this loop still held.
-    live.add(-(conns.len() as i64));
-    event!("server.loop_stop", loop_ix = loop_ix, conns = conns.len());
+}
+
+/// Where to connect to reach a listener bound to `addr`: itself, or
+/// loopback when bound to an unspecified address.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// A handle to a running server (see [`JigsawServer::serve`]).
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    loops: Vec<JoinHandle<()>>,
-    runners: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -401,30 +333,36 @@ impl ServerHandle {
         self.state.registry.len()
     }
 
-    /// Stop the server gracefully: flag the event loops down (each notices
-    /// within one poll pass, closing its connections) and join them; join
-    /// the job runners, each of which finishes the job it is executing and
-    /// drops the ones still queued; only then re-snapshot every store with
-    /// an on-disk home (`SAVE`d or `LOAD`ed) — nothing can be writing a
-    /// store by then — so a restart resumes warm.
-    pub fn shutdown(mut self) -> std::io::Result<()> {
+    /// Stop the server gracefully: shut down every connection's socket
+    /// (each thread's blocked read or next write fails, ending it), wake
+    /// the acceptor with a connection of its own and join it, join every
+    /// connection thread — a sweep in flight finishes first — and only then
+    /// re-snapshot every store with an on-disk home (`SAVE`d or `LOAD`ed),
+    /// when nothing can be writing a store any more, so a restart resumes
+    /// warm.
+    pub fn shutdown(self) -> std::io::Result<()> {
         event!("server.shutdown");
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.join_threads();
+        {
+            let mut conns = self.state.conns();
+            conns.closed = true;
+            for (socket, _) in conns.live.values() {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }
+        let _ = TcpStream::connect(wake_addr(self.addr));
+        let _ = self.acceptor.join();
+        // The acceptor is gone, so every registered thread has its handle.
+        let threads: Vec<_> = self.state.conns().live.drain().filter_map(|(_, c)| c.1).collect();
+        for thread in threads {
+            let _ = thread.join();
+        }
         self.state.resnapshot_persisted()
     }
 
     /// Block until the server stops (it only stops on
     /// [`ServerHandle::shutdown`], so this is the serve-forever mode of the
     /// `jigsaw-server` binary).
-    pub fn join(mut self) {
-        self.join_threads();
-    }
-
-    /// Loops first: a runner stops when its loop has dropped the job queue.
-    fn join_threads(&mut self) {
-        for handle in self.loops.drain(..).chain(self.runners.drain(..)) {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        let _ = self.acceptor.join();
     }
 }

@@ -1,18 +1,16 @@
-//! Acceptance for taking long verbs off the event loop (ISSUE 12): a
-//! `SWEEP` runs on its loop's job runner, so other clients of that loop are
-//! served while it is in flight; a client of the *same* scenario is set
-//! aside (deferred) instead of putting the loop to sleep on the store lock;
-//! frames pipelined behind a long verb still answer in order; a client that
-//! disconnects mid-sweep leaves a warm store; and shutdown waits for the
-//! sweep in flight before it re-snapshots.
+//! Acceptance for long verbs on a server with one blocking thread per
+//! connection (ISSUES 12 and 22): a `SWEEP` runs on its client's thread, so
+//! other clients are served while it is in flight; a client of the *same*
+//! scenario waits for it on its own thread; frames pipelined behind a long
+//! verb still answer in order; a client that never reads stalls nobody but
+//! itself; a client that disconnects mid-sweep leaves a warm store; and
+//! shutdown waits for the sweep in flight before it re-snapshots.
 //!
 //! Nothing here depends on timing. The scenario under test evaluates a
 //! black box that blocks at a test-held [`Gate`], so "while the sweep is in
-//! flight" is a state each test enters and leaves explicitly. Every case
-//! runs at `conn_threads` 1 and 4 (the server always sweeps on its one
-//! persistent pool, hence the `_persistent` suffix). The tests share
-//! process-wide metrics (one case reads `jigsaw_conn_deferred_total`), so
-//! they serialize on one lock.
+//! flight" is a state each test enters and leaves explicitly. The tests
+//! share the gated catalog's process-wide metrics, so they serialize on one
+//! lock.
 
 mod support;
 
@@ -29,7 +27,7 @@ use jigsaw::prng::SeedSet;
 use jigsaw::server::protocol::{recv_response, send_request, MAX_FRAME};
 use jigsaw::server::{Client, ErrorCode, JigsawServer, Request, Response, ServerHandle};
 
-use support::{gated_catalog, series, Gate, FREE_SRC, GATED_SRC, POINTS};
+use support::{gated_catalog, Gate, FREE_SRC, GATED_SRC, POINTS};
 
 const MASTER_SEED: u64 = 2024;
 const THREADS: usize = 2;
@@ -47,48 +45,33 @@ fn cfg() -> JigsawConfig {
 struct Rig {
     handle: ServerHandle,
     gate: Arc<Gate>,
-    loops: usize,
 }
 
 impl Rig {
-    fn start(loops: usize, snapshot_dir: Option<PathBuf>) -> Rig {
+    fn start(snapshot_dir: Option<PathBuf>) -> Rig {
         let gate = Gate::new_open();
         let mut builder = JigsawServer::builder()
             .config(cfg())
             .master_seed(MASTER_SEED)
-            .catalog(gated_catalog(&gate))
-            .conn_threads(loops);
+            .catalog(gated_catalog(&gate));
         if let Some(dir) = snapshot_dir {
             builder = builder.snapshot_dir(dir);
         }
         let handle = builder.bind("127.0.0.1:0").expect("bind loopback").serve().expect("serve");
-        Rig { handle, gate, loops }
+        Rig { handle, gate }
     }
 
-    /// A connection seated on event loop `seat`. Loop 0 deals accepted
-    /// connections round-robin, so this connects once per loop and keeps
-    /// the connection that landed on the wanted one. `connect` must return
-    /// only after the server answered a frame (its seat is taken before the
-    /// next connect starts), and every connection of a test is made through
-    /// here, which keeps the deal aligned.
-    fn on_loop<T>(&self, seat: usize, connect: impl Fn(std::net::SocketAddr) -> T) -> T {
-        let mut all: Vec<T> = (0..self.loops).map(|_| connect(self.handle.local_addr())).collect();
-        all.swap_remove(seat % self.loops)
-    }
-
-    fn client_on_loop(&self, seat: usize) -> Client {
-        self.on_loop(seat, |addr| Client::connect(addr).expect("connect"))
+    fn client(&self) -> Client {
+        Client::connect(self.handle.local_addr()).expect("connect")
     }
 
     /// For tests that write raw frames: a handshaken bare socket.
-    fn stream_on_loop(&self, seat: usize) -> TcpStream {
-        self.on_loop(seat, |addr| {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.set_nodelay(true).expect("nodelay");
-            send(&mut stream, &Request::Hello { version: 3 });
-            assert!(matches!(recv(&mut stream), Response::Welcome { .. }));
-            stream
-        })
+    fn stream(&self) -> TcpStream {
+        let mut stream = TcpStream::connect(self.handle.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        send(&mut stream, &Request::Hello { version: 3 });
+        assert!(matches!(recv(&mut stream), Response::Welcome { .. }));
+        stream
     }
 }
 
@@ -174,16 +157,18 @@ fn assert_cold_sweep(resp: &Response, local: &LocalReference) {
     }
 }
 
-/// Cases (1) and (2): with A's `SWEEP` of X held at the gate, C — on A's
-/// own loop, on another scenario — gets its `EST`; B — on X — is deferred
-/// without stalling anybody, and answers bit-identically once X is free.
-fn foreign_reader_is_served_and_same_scenario_client_deferred(loops: usize) {
+/// Cases (1) and (2): with A's `SWEEP` of X held at the gate, C — on
+/// another scenario — gets its `EST`; B — on X — waits for the sweep on its
+/// own thread without stalling anybody, and answers bit-identically once X
+/// is free.
+#[test]
+fn foreign_reader_is_served_and_same_scenario_client_waits() {
     let _g = guard();
-    let rig = Rig::start(loops, None);
+    let rig = Rig::start(None);
     let local = local_reference();
-    let mut a = rig.client_on_loop(0);
-    let mut b = rig.client_on_loop(1); // another loop when there is one
-    let mut c = rig.client_on_loop(0); // A's loop, always
+    let mut a = rig.client();
+    let mut b = rig.client();
+    let mut c = rig.client();
     compile(&mut a, GATED_SRC);
     compile(&mut b, GATED_SRC);
     compile(&mut c, FREE_SRC);
@@ -202,31 +187,23 @@ fn foreign_reader_is_served_and_same_scenario_client_deferred(loops: usize) {
         });
         rig.gate.wait_until_held();
 
-        // (1) A's sweep is provably stuck mid-run, and C — same loop — is
-        // answered, with the same bits as before the sweep began.
+        // (1) A's sweep is provably stuck mid-run, and C is answered, with
+        // the same bits as before the sweep began.
         let during = c.request(&Request::Estimate { point: 7, col: 0 }).expect("C during sweep");
         assert_eq!(during, warm);
         assert!(!a_done.load(Ordering::SeqCst), "the gate is shut: A cannot have finished");
 
-        // (2) B asks about X itself. Its frame must not execute (it would
-        // put B's loop to sleep on X's lock): the loop sets B aside, which
-        // the deferred counter shows, and goes on serving C.
-        let scrape = |c: &mut Client| match c.request(&Request::Metrics).expect("METRICS") {
-            Response::Metrics { text } => text,
-            other => panic!("expected METRICS, got {other:?}"),
-        };
-        let deferred = |text: &str| series(text, "jigsaw_conn_deferred_total").unwrap_or(0);
-        let before = deferred(&scrape(&mut c));
+        // (2) B asks about X itself: it waits for the sweep, as the store
+        // lock says it must, while C goes on being served.
         let asking = scope.spawn(|| {
             let est = b.request(&Request::Estimate { point: 3, col: 0 }).expect("B answers");
             b_done.store(true, Ordering::SeqCst);
             est
         });
-        while deferred(&scrape(&mut c)) == before {
-            std::thread::yield_now();
+        for _ in 0..3 {
+            let during = c.request(&Request::Estimate { point: 7, col: 0 }).expect("C beside B");
+            assert_eq!(during, warm);
         }
-        let during = c.request(&Request::Estimate { point: 7, col: 0 }).expect("C beside B");
-        assert_eq!(during, warm);
         assert!(!b_done.load(Ordering::SeqCst), "B waits for the sweep, as the lock says");
         assert!(!a_done.load(Ordering::SeqCst));
 
@@ -238,12 +215,13 @@ fn foreign_reader_is_served_and_same_scenario_client_deferred(loops: usize) {
 }
 
 /// Case (3): `SWEEP` + `ESTIMATE` + `STATS` in one write answer in that
-/// order — the pending job pauses the frames behind it.
-fn frames_pipelined_behind_a_sweep_answer_in_order(loops: usize) {
+/// order — the thread reads the next frame only after answering the sweep.
+#[test]
+fn frames_pipelined_behind_a_sweep_answer_in_order() {
     let _g = guard();
-    let rig = Rig::start(loops, None);
+    let rig = Rig::start(None);
     let local = local_reference();
-    let mut a = rig.stream_on_loop(0);
+    let mut a = rig.stream();
     compile_gated(&mut a);
 
     rig.gate.shut();
@@ -269,20 +247,17 @@ fn frames_pipelined_behind_a_sweep_answer_in_order(loops: usize) {
 
 /// A client that pipelines its whole script and then closes its sending
 /// side (`printf … | nc`) still reads every reply: A's `SWEEP` is in flight
-/// at the EOF, B's frames sit deferred behind A's sweep at theirs.
-fn half_closed_clients_still_get_every_reply(loops: usize) {
+/// at the EOF, and B's frames, half-closed while that sweep holds their
+/// scenario's store, wait behind it.
+#[test]
+fn half_closed_clients_still_get_every_reply() {
     let _g = guard();
-    let rig = Rig::start(loops, None);
+    let rig = Rig::start(None);
     let local = local_reference();
-    let mut a = rig.stream_on_loop(0);
-    let mut b = rig.stream_on_loop(1);
-    let mut c = rig.client_on_loop(0);
+    let mut a = rig.stream();
+    let mut b = rig.stream();
     compile_gated(&mut a);
     compile_gated(&mut b);
-    let deferred = |c: &mut Client| match c.request(&Request::Metrics).expect("METRICS") {
-        Response::Metrics { text } => series(&text, "jigsaw_conn_deferred_total").unwrap_or(0),
-        other => panic!("expected METRICS, got {other:?}"),
-    };
     let write_then_half_close = |stream: &mut TcpStream, reqs: &[Request]| {
         let mut burst = Vec::new();
         for req in reqs {
@@ -298,11 +273,7 @@ fn half_closed_clients_still_get_every_reply(loops: usize) {
         &[Request::Sweep, Request::Estimate { point: 5, col: 0 }, Request::Stats, Request::Quit],
     );
     rig.gate.wait_until_held();
-    let before = deferred(&mut c);
     write_then_half_close(&mut b, &[Request::Estimate { point: 3, col: 0 }, Request::Quit]);
-    while deferred(&mut c) == before {
-        std::thread::yield_now();
-    }
     rig.gate.open();
 
     assert_cold_sweep(&recv(&mut a), &local);
@@ -316,19 +287,20 @@ fn half_closed_clients_still_get_every_reply(loops: usize) {
     rig.handle.shutdown().expect("shutdown");
 }
 
-/// Case (4): A disconnects mid-sweep. The job runs on, its result is
-/// discarded, and the next client's sweep of X is all warm hits.
-fn disconnect_mid_sweep_leaves_the_store_warm(loops: usize) {
+/// Case (4): A disconnects mid-sweep. The sweep runs on, its reply is
+/// lost, and the next client's sweep of X is all warm hits.
+#[test]
+fn disconnect_mid_sweep_leaves_the_store_warm() {
     let _g = guard();
-    let rig = Rig::start(loops, None);
-    let mut a = rig.stream_on_loop(0);
+    let rig = Rig::start(None);
+    let mut a = rig.stream();
     compile_gated(&mut a);
     rig.gate.shut();
     send(&mut a, &Request::Sweep);
     rig.gate.wait_until_held();
     drop(a);
 
-    let mut d = rig.client_on_loop(1);
+    let mut d = rig.client();
     compile(&mut d, GATED_SRC); // attaches to X mid-sweep without touching its lock
     rig.gate.open();
     match d.request(&Request::Sweep).expect("D's sweep") {
@@ -343,13 +315,14 @@ fn disconnect_mid_sweep_leaves_the_store_warm(loops: usize) {
 
 /// Case (6): `shutdown()` with a sweep in flight waits for it, and the
 /// re-snapshot that follows carries the sweep's bases.
-fn shutdown_waits_for_the_sweep_in_flight(loops: usize) {
+#[test]
+fn shutdown_waits_for_the_sweep_in_flight() {
     let _g = guard();
-    let dir = std::env::temp_dir().join(format!("jigsaw-offload-{}-{loops}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("jigsaw-offload-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let rig = Rig::start(loops, Some(dir.clone()));
+    let rig = Rig::start(Some(dir.clone()));
     let local = local_reference();
-    let mut a = rig.client_on_loop(0);
+    let mut a = rig.client();
     compile(&mut a, GATED_SRC);
     // The store gets its on-disk home while still cold.
     match a.request(&Request::Save { name: "home".into() }).expect("save") {
@@ -357,12 +330,12 @@ fn shutdown_waits_for_the_sweep_in_flight(loops: usize) {
         other => panic!("expected SAVED, got {other:?}"),
     }
     rig.gate.shut();
-    let Rig { handle, gate, .. } = rig;
+    let Rig { handle, gate } = rig;
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            // The loops exit first and drop A's connection: this request
-            // fails exactly when shutdown is under way — and only then is
-            // the sweep it is waiting on let go.
+            // Shutdown first shuts A's socket down: this request fails
+            // exactly when shutdown is under way — and only then is the
+            // sweep it is waiting on let go.
             assert!(a.request(&Request::Sweep).is_err(), "the server hung up mid-sweep");
             gate.open();
         });
@@ -371,8 +344,8 @@ fn shutdown_waits_for_the_sweep_in_flight(loops: usize) {
     });
 
     // A fresh server over the same directory loads what shutdown wrote.
-    let rig = Rig::start(loops, Some(dir.clone()));
-    let mut c = rig.client_on_loop(0);
+    let rig = Rig::start(Some(dir.clone()));
+    let mut c = rig.client();
     compile(&mut c, GATED_SRC);
     match c.request(&Request::Load { name: "home".into() }).expect("load") {
         Response::Loaded { bases, .. } => {
@@ -384,16 +357,16 @@ fn shutdown_waits_for_the_sweep_in_flight(loops: usize) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The read-buffer cap: far more than `MAX_FRAME` bytes pipelined behind a
-/// held sweep. The server stops reading once it buffers a maximal frame
-/// (TCP pushes back on the writer), and when the sweep ends every reply
-/// still arrives, in order.
-fn flood_behind_a_sweep_answers_in_order(loops: usize) {
+/// Far more than `MAX_FRAME` bytes pipelined behind a held sweep: the
+/// server's thread holds at most one frame, so TCP pushes back on the
+/// writer, and when the sweep ends every reply still arrives, in order.
+#[test]
+fn flood_behind_a_sweep_answers_in_order() {
     let _g = guard();
     const ROUNDS: usize = 8;
-    let rig = Rig::start(loops, None);
+    let rig = Rig::start(None);
     let local = local_reference();
-    let mut a = rig.stream_on_loop(0);
+    let mut a = rig.stream();
     compile_gated(&mut a);
     rig.gate.shut();
 
@@ -421,13 +394,52 @@ fn flood_behind_a_sweep_answers_in_order(loops: usize) {
     rig.handle.shutdown().expect("shutdown");
 }
 
-/// A long verb before `COMPILE` has no session to move into a job: it is
-/// refused inline, like any other session verb.
+/// A client that pipelines far more `METRICS` requests than the socket
+/// buffers hold, and never reads, blocks only its own thread: another
+/// client's `ESTIMATE` is answered meanwhile, and once the first client
+/// reads, it gets every reply, in order.
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    let _g = guard();
+    let rig = Rig::start(None);
+    let mut p = rig.stream();
+    send(&mut p, &Request::Metrics);
+    let scrape = match recv(&mut p) {
+        Response::Metrics { text } => text.len(),
+        other => panic!("expected METRICS, got {other:?}"),
+    };
+    // Replies worth ≈ 16 MiB — many times what loopback socket buffers
+    // absorb — behind one request whose reply is told apart from them.
+    let n = 16 * MAX_FRAME / scrape + 1;
+    let mut burst = Vec::new();
+    for _ in 0..n {
+        send_request(&mut burst, &Request::Metrics).expect("encode");
+    }
+    send_request(&mut burst, &Request::Hello { version: 3 }).expect("encode");
+    let mut writer = p.try_clone().expect("clone socket");
+    std::thread::scope(|scope| {
+        scope.spawn(move || writer.write_all(&burst).expect("the burst is accepted in the end"));
+
+        let mut q = rig.client();
+        compile(&mut q, FREE_SRC);
+        let est = q.request(&Request::Estimate { point: 7, col: 0 }).expect("Q is served");
+        assert!(matches!(est, Response::Estimated { point: 7, .. }), "{est:?}");
+
+        for i in 0..n {
+            assert!(matches!(recv(&mut p), Response::Metrics { .. }), "reply {i}");
+        }
+        assert_eq!(recv(&mut p), Response::Welcome { version: 3 });
+    });
+    rig.handle.shutdown().expect("shutdown");
+}
+
+/// A long verb before `COMPILE` has no session to run on: it is refused,
+/// like any other session verb.
 #[test]
 fn long_verbs_before_compile_are_refused_inline() {
     let _g = guard();
-    let rig = Rig::start(1, None);
-    let mut c = rig.client_on_loop(0);
+    let rig = Rig::start(None);
+    let mut c = rig.client();
     for req in [Request::Sweep, Request::Tick { count: 1 }, Request::Save { name: "x".into() }] {
         match c.request(&req).expect("answers") {
             Response::Error { code, message } => {
@@ -439,28 +451,3 @@ fn long_verbs_before_compile_are_refused_inline() {
     }
     rig.handle.shutdown().expect("shutdown");
 }
-
-/// Every case at one and four event loops.
-macro_rules! matrix {
-    ($($case:ident),* $(,)?) => {$(
-        mod $case {
-            #[test]
-            fn one_loop_persistent() {
-                super::$case(1);
-            }
-            #[test]
-            fn four_loops_persistent() {
-                super::$case(4);
-            }
-        }
-    )*};
-}
-
-matrix!(
-    foreign_reader_is_served_and_same_scenario_client_deferred,
-    frames_pipelined_behind_a_sweep_answer_in_order,
-    half_closed_clients_still_get_every_reply,
-    disconnect_mid_sweep_leaves_the_store_warm,
-    shutdown_waits_for_the_sweep_in_flight,
-    flood_behind_a_sweep_answers_in_order,
-);

@@ -253,8 +253,31 @@ fn protocol_errors_keep_the_connection_alive() {
     handle.shutdown().expect("shutdown");
 }
 
+/// A reply too large for one frame is replaced by a short framed
+/// `ERR exec`, never a truncated prefix: a maximal frame holding one
+/// unknown verb draws an `ERR malformed` echo longer than `MAX_FRAME`, and
+/// the connection answers its next request as usual.
+#[test]
+fn oversized_responses_stay_framed() {
+    use jigsaw::server::protocol::{recv_response, send_request, write_frame, MAX_FRAME};
+    let handle = serve(1);
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    write_frame(&mut stream, &"X".repeat(MAX_FRAME)).expect("one maximal frame");
+    let substitute = Response::Error {
+        code: jigsaw::server::ErrorCode::Exec,
+        message: "response exceeds the frame size limit".into(),
+    };
+    assert_eq!(recv_response(&mut stream).expect("framed").expect("answered"), substitute);
+    send_request(&mut stream, &Request::Hello { version: 3 }).expect("send");
+    assert_eq!(
+        recv_response(&mut stream).expect("framed").expect("answered"),
+        Response::Welcome { version: 3 }
+    );
+    handle.shutdown().expect("shutdown");
+}
+
 /// A panic inside a black-box model must come back as `ERR exec` — the
-/// typed [`WorkerPanic`] path — and leave the event loop answering
+/// typed [`WorkerPanic`] path — and leave the connection answering
 /// subsequent requests, instead of aborting the server the way the old
 /// `join().expect("worker panicked")` did.
 ///
@@ -281,7 +304,7 @@ fn worker_panic_answers_err_and_server_stays_up() {
         Response::Compiled { .. } => {}
         other => panic!("unexpected {other:?}"),
     }
-    // ESTIMATE evaluates worlds inline on the loop thread.
+    // ESTIMATE evaluates worlds inline on the connection's thread.
     match c.request(&Request::Estimate { point: 0, col: 0 }).expect("estimate still answers") {
         Response::Error { code, message } => {
             assert_eq!(code, jigsaw::server::ErrorCode::Exec);
@@ -297,7 +320,7 @@ fn worker_panic_answers_err_and_server_stays_up() {
         }
         other => panic!("panic must answer ERR, got {other:?}"),
     }
-    // The loop thread (and its pool) survived: a healthy scenario on the
+    // The connection (and the pool) survived: a healthy scenario on the
     // same connection still does real work.
     compile(&mut c, "post-panic client");
     match c.request(&Request::Estimate { point: 3, col: 0 }).expect("estimate") {

@@ -1,6 +1,6 @@
-//! Loopback soak (ISSUE 6): ≥100 concurrent scripted clients multiplexed
-//! over a handful of readiness event loops, every client's transcript
-//! **byte-identical** to the single-client golden.
+//! Loopback soak (ISSUE 6): ≥100 concurrent scripted clients, each on its
+//! own server thread, every client's transcript **byte-identical** to the
+//! single-client golden.
 //!
 //! One warm-up client pays the Monte Carlo ramp
 //! (`tests/golden/server_soak_warm.script`), then a reference client
@@ -32,7 +32,6 @@ fn hundred_plus_concurrent_clients_replay_bit_identically() {
         std::fs::read_to_string(golden_path("server_soak_warm.script")).expect("warm script");
     let soak = std::fs::read_to_string(golden_path("server_soak.script")).expect("soak script");
     let handle = JigsawServer::builder()
-        .conn_threads(4)
         .bind("127.0.0.1:0")
         .expect("bind loopback")
         .serve()
