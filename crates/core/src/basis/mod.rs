@@ -204,13 +204,6 @@ impl BasisStore {
         }
     }
 
-    /// Resolve metrics for a fingerprint: reuse through a mapping when one
-    /// exists. Returns `(metrics, Some(basis))` on reuse, `None` on miss.
-    pub fn resolve(&mut self, fp: &Fingerprint) -> Option<(OutputMetrics, BasisId)> {
-        let (id, m) = self.find_match(fp)?;
-        Some((m.apply_metrics(&self.get(id).metrics), id))
-    }
-
     /// Fold additional samples into a basis (interactive refinement).
     pub fn refine(&mut self, id: BasisId, samples: &[f64]) {
         self.bases[id.0].metrics.extend(samples);
@@ -255,13 +248,6 @@ impl FrozenBasisView<'_> {
             }
         }
         (None, pairings)
-    }
-
-    /// Resolve mapped metrics for a fingerprint without mutating the store.
-    /// The matched basis must be committed (metrics landed).
-    pub fn resolve(&self, fp: &Fingerprint) -> (Option<(OutputMetrics, BasisId)>, u64) {
-        let (hit, pairings) = self.find_match(fp);
-        (hit.map(|(id, m)| (m.apply_metrics(&self.get(id).metrics), id)), pairings)
     }
 }
 
@@ -365,9 +351,11 @@ mod tests {
     fn resolve_maps_metrics() {
         let mut s = store(IndexStrategy::Array);
         s.insert(fp(&[0.0, 1.0, 2.0]), metrics(&[0.0, 1.0, 2.0, 0.5, 1.5]));
-        let (m, _) = s.resolve(&fp(&[10.0, 12.0, 14.0])).expect("reuse");
+        let (id, map) = s.find_match(&fp(&[10.0, 12.0, 14.0])).expect("reuse");
+        let m = map.apply_metrics(&s.get(id).metrics);
         // 2x + 10 applied to mean 1.0 → 12.0.
         assert!((m.expectation() - 12.0).abs() < 1e-9);
+        assert!(m.shares_samples_with(&s.get(id).metrics));
     }
 
     #[test]
@@ -444,8 +432,8 @@ mod tests {
             let (hit, pairings) = view.find_match(&fp(&[1.0, 3.0, 5.0]));
             assert_eq!(hit.map(|(i, _)| i), Some(id));
             assert_eq!(pairings, 1);
-            let (resolved, _) = view.resolve(&fp(&[1.0, 3.0, 5.0]));
-            let (m, _) = resolved.expect("hit");
+            let (id, map) = hit.expect("hit");
+            let m = map.apply_metrics(&view.get(id).metrics);
             assert!((m.expectation() - 3.0).abs() < 1e-9); // 2x+1 over mean 1
         }
         assert_eq!(s.pairings_tested, before, "frozen view must not mutate counters");

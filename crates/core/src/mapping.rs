@@ -51,6 +51,9 @@ impl AffineMap {
     }
 
     /// `M_est`: carry output metrics across the mapping in closed form.
+    ///
+    /// O(1): the result shares `m`'s sample buffer and maps samples only
+    /// when they are read (see [`OutputMetrics::affine_image`]).
     pub fn apply_metrics(&self, m: &OutputMetrics) -> OutputMetrics {
         m.affine_image(self.alpha, self.beta)
     }

@@ -726,6 +726,67 @@ mod tests {
         }
     }
 
+    /// A `SynthBasis(4)` sweep of 48 points on an attached store.
+    fn synth_sweep_on(stores: &mut ShardedBasisStore) -> SweepResult {
+        let space = ParamSpace::new(vec![ParamDecl::range("p", 0, 47, 1)]);
+        let sim = BlackBoxSim::new(Arc::new(SynthBasis::new(4)), space, SeedSet::new(7));
+        SweepRunner::new(cfg().with_threads(2)).store(stores).run(&sim).unwrap()
+    }
+
+    fn synth_stores() -> ShardedBasisStore {
+        ShardedBasisStore::new(1, &cfg(), Arc::new(crate::mapping::AffineFamily))
+    }
+
+    #[test]
+    fn results_share_their_basis_samples_instead_of_copying_them() {
+        let mut stores = synth_stores();
+        let r = synth_sweep_on(&mut stores);
+        assert_eq!(r.points.len(), 48);
+        let bases = stores.shard(0).bases();
+        assert_eq!(bases.len(), 4);
+        let mut fresh = 0;
+        for p in &r.points {
+            let m = &p.metrics[0];
+            match p.reused_from[0] {
+                Some(id) => assert!(
+                    m.shares_samples_with(&stores.shard(0).get(id).metrics),
+                    "reused point {} copied basis {id:?}'s samples",
+                    p.point_idx
+                ),
+                None => {
+                    fresh += 1;
+                    let owners = bases.iter().filter(|b| m.shares_samples_with(&b.metrics));
+                    assert_eq!(owners.count(), 1, "fresh point {} owns no basis", p.point_idx);
+                }
+            }
+        }
+        assert_eq!(fresh, 4, "one fresh point per basis");
+    }
+
+    #[test]
+    fn refining_a_basis_leaves_earlier_mapped_results_unchanged() {
+        let mut stores = synth_stores();
+        let r = synth_sweep_on(&mut stores);
+        // Read through clones, so the results themselves first compute
+        // their mapped samples after the refine below.
+        let before: Vec<Vec<u64>> = r
+            .points
+            .iter()
+            .map(|p| p.metrics[0].clone().samples().iter().map(|x| x.to_bits()).collect())
+            .collect();
+        for id in 0..stores.shard(0).len() {
+            stores.shard_mut(0).refine(BasisId(id), &[1.0, 2.0]);
+            assert_eq!(stores.shard(0).get(BasisId(id)).metrics.n(), cfg().n_samples + 2);
+        }
+        for (p, want) in r.points.iter().zip(&before) {
+            let m = &p.metrics[0];
+            let got: Vec<u64> = m.samples().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(&got, want, "point {} changed under refine", p.point_idx);
+            assert_eq!(m.n(), cfg().n_samples);
+            assert!(stores.shard(0).bases().iter().all(|b| !m.shares_samples_with(&b.metrics)));
+        }
+    }
+
     #[test]
     fn wave_telemetry_accounts_every_point() {
         let sim = demand_sim();

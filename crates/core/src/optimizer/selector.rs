@@ -420,6 +420,30 @@ mod tests {
     }
 
     #[test]
+    fn nan_samples_poison_prob_over_and_quantile_as_typed_errors() {
+        let (sim, space) = sim();
+        let cfg = JigsawConfig::paper().with_n_samples(20);
+        let mut sweep = SweepRunner::new(cfg).run(&sim).unwrap();
+        let owned = jigsaw_pdb::OutputMetrics::from_samples(vec![1.0, f64::NAN, 3.0, 4.0]);
+        // A mapped NaN: 0·∞ appears only once the map is applied.
+        let mapped = jigsaw_pdb::OutputMetrics::from_samples(vec![1.0, f64::INFINITY])
+            .affine_image(0.0, 0.0);
+        for poison in [owned, mapped] {
+            sweep.points[7].metrics[0] = poison;
+            for metric in [jigsaw_pdb::Metric::ProbOver(2.0), jigsaw_pdb::Metric::Quantile(0.5)] {
+                let mut g = goal();
+                g.constraints[0].metric = metric;
+                match select(&space, &sweep, &g, &["risk".to_string()]) {
+                    Err(jigsaw_pdb::PdbError::NanMetric(msg)) => {
+                        assert!(msg.contains("point 7"), "{metric:?}: names the point: {msg}");
+                    }
+                    other => panic!("{metric:?}: expected NanMetric, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn outer_agg_folds() {
         assert_eq!(OuterAgg::Max.fold([1.0, 3.0, 2.0].into_iter()), 3.0);
         assert_eq!(OuterAgg::Min.fold([1.0, 3.0, 2.0].into_iter()), 1.0);

@@ -9,31 +9,109 @@
 //! arbitrary-threshold probabilities, quantiles, exact histogram rebuilds,
 //! and — crucially for tests — the ability to verify that the closed-form
 //! affine mapping of metrics equals metrics of the mapped samples.
+//!
+//! The `n·8` bytes are per *basis*, not per point: the metrics of a reused
+//! point ([`OutputMetrics::affine_image`]) share the basis's sample buffer
+//! and apply `a·x + b` on read, so a sweep whose points mostly reuse holds
+//! one sample vector per basis however many points map onto it.
+
+use std::sync::{Arc, OnceLock};
 
 use jigsaw_prng::stats::{quantile, Histogram, Moments};
 
+/// Where an [`OutputMetrics`]' samples live.
+#[derive(Debug, Clone)]
+enum Samples {
+    /// The samples themselves (shared with clones until one is extended).
+    Owned(Arc<Vec<f64>>),
+    /// `a·x + b` for every `x` of `base`, computed on first read of the
+    /// whole vector and cached.
+    Mapped { base: Arc<Vec<f64>>, a: f64, b: f64, cache: OnceLock<Vec<f64>> },
+}
+
+impl Samples {
+    /// The buffer the samples are read from.
+    fn buffer(&self) -> &Arc<Vec<f64>> {
+        match self {
+            Samples::Owned(v) | Samples::Mapped { base: v, .. } => v,
+        }
+    }
+
+    /// An owned, unshared vector to append to: a mapped value materialises,
+    /// and a buffer still shared with another value is copied once.
+    fn make_mut(&mut self) -> &mut Vec<f64> {
+        if let Samples::Mapped { base, a, b, cache } = self {
+            let v = cache.take().unwrap_or_else(|| map_all(base, *a, *b));
+            *self = Samples::Owned(Arc::new(v));
+        }
+        match self {
+            Samples::Owned(v) => Arc::make_mut(v),
+            Samples::Mapped { .. } => unreachable!("materialised above"),
+        }
+    }
+}
+
+/// `a·x + b` for every `x` — the one expression every mapped sample a
+/// caller can observe comes from.
+fn map_all(xs: &[f64], a: f64, b: f64) -> Vec<f64> {
+    xs.iter().map(|x| a * x + b).collect()
+}
+
+/// The share of `xs` above `t`, or NaN when `xs` is empty or holds a NaN.
+fn share_over(xs: impl ExactSizeIterator<Item = f64>, t: f64) -> f64 {
+    let n = xs.len();
+    let mut over = 0usize;
+    for x in xs {
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        over += (x > t) as usize;
+    }
+    if n == 0 {
+        f64::NAN
+    } else {
+        over as f64 / n as f64
+    }
+}
+
 /// Summary of a query-output distribution at one parameter point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OutputMetrics {
     moments: Moments,
-    samples: Vec<f64>,
+    samples: Samples,
+}
+
+impl PartialEq for OutputMetrics {
+    fn eq(&self, other: &Self) -> bool {
+        self.moments == other.moments && self.samples() == other.samples()
+    }
 }
 
 impl OutputMetrics {
     /// Build from i.i.d. samples of the output distribution.
     pub fn from_samples(samples: Vec<f64>) -> Self {
         let moments = Moments::from_slice(&samples);
-        OutputMetrics { moments, samples }
+        OutputMetrics { moments, samples: Samples::Owned(Arc::new(samples)) }
     }
 
     /// Number of Monte Carlo samples summarized.
     pub fn n(&self) -> usize {
-        self.samples.len()
+        self.samples.buffer().len()
     }
 
-    /// The sample vector.
+    /// The sample vector. For mapped metrics the first call computes it
+    /// from the basis's samples; later calls return the cached vector.
     pub fn samples(&self) -> &[f64] {
-        &self.samples
+        match &self.samples {
+            Samples::Owned(v) => v,
+            Samples::Mapped { base, a, b, cache } => cache.get_or_init(|| map_all(base, *a, *b)),
+        }
+    }
+
+    /// True when both read their samples from the same buffer — a mapped
+    /// result and its basis, or a basis and the fresh point that built it.
+    pub fn shares_samples_with(&self, other: &OutputMetrics) -> bool {
+        Arc::ptr_eq(self.samples.buffer(), other.samples.buffer())
     }
 
     /// Streaming moments.
@@ -61,22 +139,24 @@ impl OutputMetrics {
         self.moments.max()
     }
 
-    /// Empirical `P(X > t)`.
+    /// Empirical `P(X > t)`; NaN when there are no samples or any sample
+    /// is NaN. Mapped metrics count straight off the basis's samples.
     pub fn prob_over(&self, t: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
+        match &self.samples {
+            Samples::Owned(v) => share_over(v.iter().copied(), t),
+            Samples::Mapped { base, a, b, .. } => share_over(base.iter().map(|x| a * x + b), t),
         }
-        self.samples.iter().filter(|&&x| x > t).count() as f64 / self.samples.len() as f64
     }
 
-    /// Empirical `q`-quantile.
+    /// Empirical `q`-quantile; NaN when there are no samples or any sample
+    /// is NaN.
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile(&self.samples, q)
+        quantile(self.samples(), q)
     }
 
     /// Equi-width histogram of the samples.
     pub fn histogram(&self, bins: usize) -> Histogram {
-        Histogram::from_data(&self.samples, bins)
+        Histogram::from_data(self.samples(), bins)
     }
 
     /// A CLT-style two-sided bound on the *true mean*: `mean ± z·sd/√n`.
@@ -107,21 +187,31 @@ impl OutputMetrics {
     }
 
     /// Add more samples (progressive refinement in the interactive mode).
+    ///
+    /// A buffer still shared with mapped results is copied first, so they
+    /// keep the values they were mapped from.
     pub fn extend(&mut self, more: &[f64]) {
+        let samples = self.samples.make_mut();
         for &x in more {
             self.moments.push(x);
-            self.samples.push(x);
+            samples.push(x);
         }
     }
 
     /// The metrics of `a·X + b` — the paper's `M_est`, applied in closed
-    /// form to moments and elementwise to the retained samples. No model
-    /// invocations are needed, which is the entire point of basis reuse.
+    /// form to moments and lazily to the samples. No model invocations are
+    /// needed, which is the entire point of basis reuse.
+    ///
+    /// O(1): the result shares this value's sample buffer. Mapping a value
+    /// that is itself mapped computes the composed samples eagerly.
     pub fn affine_image(&self, a: f64, b: f64) -> OutputMetrics {
-        OutputMetrics {
-            moments: self.moments.affine_image(a, b),
-            samples: self.samples.iter().map(|x| a * x + b).collect(),
-        }
+        let samples = match &self.samples {
+            Samples::Owned(v) => {
+                Samples::Mapped { base: Arc::clone(v), a, b, cache: OnceLock::new() }
+            }
+            Samples::Mapped { .. } => Samples::Owned(Arc::new(map_all(self.samples(), a, b))),
+        };
+        OutputMetrics { moments: self.moments.affine_image(a, b), samples }
     }
 }
 
@@ -192,6 +282,26 @@ mod tests {
     }
 
     #[test]
+    fn affine_image_shares_the_buffer_until_extended() {
+        let mut basis = metrics();
+        let mapped = basis.affine_image(2.0, 1.0);
+        assert!(mapped.shares_samples_with(&basis));
+        assert_eq!(mapped.prob_over(5.0), 0.6);
+        // Refining the basis copies its buffer; the mapped value keeps the
+        // samples it was mapped from.
+        basis.extend(&[6.0]);
+        assert!(!mapped.shares_samples_with(&basis));
+        assert_eq!(mapped.samples(), &[3.0, 5.0, 7.0, 9.0, 11.0]);
+        assert_eq!(basis.n(), 6);
+        // Extending a mapped value materialises it first.
+        let mut grown = mapped.clone();
+        grown.extend(&[13.0]);
+        assert_eq!(grown.samples(), &[3.0, 5.0, 7.0, 9.0, 11.0, 13.0]);
+        assert_eq!(grown.expectation(), 8.0);
+        assert_eq!(mapped.n(), 5);
+    }
+
+    #[test]
     fn extend_updates_all_views() {
         let mut m = metrics();
         m.extend(&[10.0]);
@@ -220,6 +330,18 @@ mod tests {
     fn empty_prob_is_nan() {
         let m = OutputMetrics::from_samples(vec![]);
         assert!(m.prob_over(0.0).is_nan());
+    }
+
+    #[test]
+    fn nan_samples_make_prob_and_quantile_nan() {
+        let m = OutputMetrics::from_samples(vec![1.0, f64::NAN, 3.0, 4.0]);
+        assert!(m.prob_over(2.0).is_nan());
+        assert!(m.quantile(0.5).is_nan());
+        // On the mapped path the mapped value is tested: 0·∞ is NaN.
+        let inf = OutputMetrics::from_samples(vec![1.0, f64::INFINITY]);
+        assert_eq!(inf.prob_over(0.0), 1.0);
+        assert!(inf.affine_image(0.0, 1.0).prob_over(0.0).is_nan());
+        assert!(inf.affine_image(0.0, 1.0).quantile(0.0).is_nan());
     }
 
     #[test]

@@ -39,14 +39,15 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 
 /// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation of order statistics.
 ///
+/// `NaN` on empty input or when any input is `NaN` (NaN has no rank).
 /// Sorts a copy; fine for estimator-sized inputs (thousands of samples).
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1], got {q}");
-    if xs.is_empty() {
+    if xs.is_empty() || xs.iter().any(|x| x.is_nan()) {
         return f64::NAN;
     }
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN rejected above"));
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -74,6 +75,7 @@ mod tests {
         assert!(mean(&[]).is_nan());
         assert!(variance(&[1.0]).is_nan());
         assert!(quantile(&[], 0.5).is_nan());
+        assert!(quantile(&[1.0, f64::NAN, 3.0], 0.5).is_nan());
     }
 
     #[test]
