@@ -39,8 +39,8 @@ pub struct JigsawConfig {
     /// telemetry counters are bit-identical for every value.
     pub threads: usize,
     /// Points per batch-synchronous wave of the sweep executor. `0` (the
-    /// default) sizes waves automatically from the thread budget. Pure
-    /// performance knob, like `threads`.
+    /// default) sizes waves from the thread budget `t` as
+    /// `max(64·t, 128)` points. Pure performance knob, like `threads`.
     pub wave_size: usize,
     /// Warm-start the sweep from this basis snapshot (see
     /// [`crate::basis::snapshot`]). The file must have been written under
@@ -168,10 +168,10 @@ impl JigsawConfig {
 
     /// The concrete wave size: `wave_size`, with `0` resolved to a multiple
     /// of the thread budget large enough to keep every worker fed through
-    /// the resolve barrier and to amortize per-wave thread spawns.
+    /// the barriers and to amortize each wave's scatters.
     pub fn effective_wave_size(&self) -> usize {
         match self.wave_size {
-            0 => (8 * self.effective_threads()).max(32),
+            0 => (64 * self.effective_threads()).max(128),
             w => w,
         }
     }
@@ -243,10 +243,12 @@ mod tests {
         let c = JigsawConfig::paper();
         assert_eq!(c.threads, 1, "paper default is sequential");
         assert!(c.effective_threads() >= 1);
-        assert!(c.effective_wave_size() >= 16);
+        assert_eq!(c.effective_wave_size(), 128);
+        assert_eq!(c.clone().with_threads(2).effective_wave_size(), 128);
+        assert_eq!(c.clone().with_threads(4).effective_wave_size(), 256);
         let auto = c.with_threads(0);
         assert!(auto.effective_threads() >= 1);
-        assert!(auto.effective_wave_size() >= 4 * auto.effective_threads());
+        assert_eq!(auto.effective_wave_size(), (64 * auto.effective_threads()).max(128));
     }
 
     #[test]

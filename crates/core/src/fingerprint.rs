@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use jigsaw_pdb::{PdbError, Result};
+
 /// A fingerprint: the function's outputs under the global seed vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fingerprint(Vec<f64>);
@@ -79,6 +81,22 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
 pub fn affine_fits(from: &[f64], to: &[f64], alpha: f64, beta: f64, tol: f64) -> bool {
     from.len() == to.len()
         && from.iter().zip(to).all(|(&x, &y)| approx_eq(alpha * x + beta, y, tol))
+}
+
+/// Check raw model output for column `col` of point `point_idx` (entry `k`
+/// = world `k`) before it becomes a [`Fingerprint`]. A non-finite world —
+/// the SQL dialect's float `/` yields ±∞ and NaN — is a typed
+/// [`PdbError::NanMetric`] naming the point, column, world and value, so
+/// callers reject it before taking any store lock instead of panicking in
+/// [`Fingerprint::new`].
+pub(crate) fn check_finite(entries: &[f64], point_idx: usize, col: usize) -> Result<()> {
+    match entries.iter().position(|x| !x.is_finite()) {
+        None => Ok(()),
+        Some(k) => Err(PdbError::NanMetric(format!(
+            "point {point_idx}, column {col}: fingerprint world {k} returned {}",
+            entries[k]
+        ))),
+    }
 }
 
 impl fmt::Display for Fingerprint {
@@ -156,5 +174,22 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let _ = Fingerprint::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn check_finite_names_the_first_bad_world() {
+        assert!(check_finite(&[1.0, -2.0, 0.0], 4, 1).is_ok());
+        for (bad, shown) in [(f64::INFINITY, "inf"), (f64::NEG_INFINITY, "-inf"), (f64::NAN, "NaN")]
+        {
+            match check_finite(&[1.0, 2.0, bad, bad], 4, 1) {
+                Err(PdbError::NanMetric(msg)) => {
+                    assert_eq!(
+                        msg,
+                        format!("point 4, column 1: fingerprint world 2 returned {shown}")
+                    )
+                }
+                other => panic!("expected NanMetric, got {other:?}"),
+            }
+        }
     }
 }

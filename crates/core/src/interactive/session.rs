@@ -413,6 +413,9 @@ impl InteractiveSession {
         let head =
             jigsaw_pdb::eval_batch(&*self.sim, &point, 0, m, self.cfg.threads)?.into_columns();
         self.worlds_evaluated += m as u64;
+        for (c, samples) in head.iter().enumerate() {
+            crate::fingerprint::check_finite(samples, point_idx, c)?;
+        }
         let own = &mut self.own;
         let points = &mut self.points;
         let seen = &mut self.seen_generation;

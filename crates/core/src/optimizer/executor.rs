@@ -13,16 +13,22 @@
 //!    (fingerprint registered, metrics pending), so later points of the
 //!    same wave match against it exactly as the sequential point loop
 //!    would. This phase touches no simulation worlds; it is cheap O(m)
-//!    float work per candidate.
+//!    float work per candidate. A non-finite head fails the sweep with a
+//!    typed error before anything is staged for it.
 //! 3. **Completion** (parallel) — points with at least one missed column
-//!    evaluate worlds `m..n`. Jobs are split into world chunks so a handful
-//!    of misses still saturates the thread budget; chunks stitch back in
-//!    window order, which composes bit-identically (worlds are
-//!    seed-addressed).
+//!    evaluate worlds `m..n`; large jobs split into world windows so a
+//!    handful of misses still saturates the thread budget, and windows
+//!    stitch back in order, which composes bit-identically (worlds are
+//!    seed-addressed). A second scatter then assembles every fresh
+//!    column's `0..n` sample vector and computes its metrics,
+//!    [`OutputMetrics::LANES`] columns per lane-interleaved moments pass.
 //! 4. **Commit** (sequential, at the barrier) — in enumeration order,
-//!    missed columns assemble their `0..n` sample vectors, land their
-//!    staged metrics, and reused columns map their matched basis's
-//!    (by-now-committed) metrics.
+//!    fresh columns land their metrics in their staged bases (a refcount
+//!    bump) and reused columns map their matched basis's (by-now-committed)
+//!    metrics in O(1). No per-sample work is left at this barrier.
+//!
+//! Both parallel phases hand the pool a handful of coarse tasks per thread
+//! per scatter, so per-task overhead stays off the critical path.
 //!
 //! Because phases 2 and 4 replay the exact decision sequence of the
 //! sequential loop — same store contents at every probe, same candidate
@@ -54,16 +60,17 @@
 //!
 //! [`BasisStore`]: crate::basis::BasisStore
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use jigsaw_obs::span;
-use jigsaw_pdb::{OutputMetrics, Result, Simulation, WorldBatch};
+use jigsaw_pdb::{OutputMetrics, PdbError, Result, Simulation, WorldBatch};
 
 use crate::basis::{BasisId, ShardedBasisStore};
 use crate::config::JigsawConfig;
-use crate::fingerprint::Fingerprint;
+use crate::fingerprint::{check_finite, Fingerprint};
 use crate::mapping::{AffineMap, MappingFamily};
 use crate::optimizer::selector::sketch_frontier;
 use crate::optimizer::{PointResult, SweepResult};
@@ -342,6 +349,7 @@ fn run_waves(
                     cols.push(ColPlan::Fresh(FreshSource::Inline(samples)));
                     continue;
                 }
+                check_finite(&samples, wave_idx[offset], c)?;
                 // The head samples move straight into the fingerprint —
                 // no per-miss double copy.
                 let fp = Fingerprint::new(samples);
@@ -373,11 +381,20 @@ fn run_waves(
             .collect();
         let tails = run_jobs(sim, &tail_jobs, threads, pool);
         drop(tail_jobs);
-        let mut tails_by_slot: Vec<Option<JobOutput>> = Vec::with_capacity(wave_len);
+        // A slot whose tail failed is skipped here; commit reports the
+        // first such error in enumeration order.
+        let mut tails_by_slot: Vec<Option<WorldBatch>> = Vec::with_capacity(wave_len);
         tails_by_slot.resize_with(wave_len, || None);
+        let mut tail_errors: Vec<Option<PdbError>> = Vec::with_capacity(wave_len);
+        tail_errors.resize_with(wave_len, || None);
         for (&slot_i, tail) in miss_slots.iter().zip(tails) {
-            tails_by_slot[slot_i] = Some(tail);
+            match tail {
+                Ok(batch) => tails_by_slot[slot_i] = Some(batch),
+                Err(e) => tail_errors[slot_i] = Some(e),
+            }
         }
+        let mut fresh_cols =
+            fresh_metrics(&slots, tails_by_slot, stores, n, threads, pool).into_iter();
         drop(span_cp);
         let dt_cp = t2.elapsed();
         obs.completion_us.record_duration(dt_cp);
@@ -389,11 +406,13 @@ fn run_waves(
         let mut wave_reuse = WaveReuse { points: wave_len, ..Default::default() };
         for (slot_i, slot) in slots.into_iter().enumerate() {
             let Slot { point_idx, point, cols, needs_tail } = slot;
-            let mut tail_cols: Vec<Vec<f64>> = if needs_tail {
+            if needs_tail {
+                if let Some(e) = tail_errors[slot_i].take() {
+                    return Err(e);
+                }
                 stats.full_simulations += 1;
                 wave_reuse.full_simulations += 1;
                 stats.worlds_evaluated += tail_count as u64;
-                tails_by_slot[slot_i].take().expect("tail evaluated for miss")?.into_columns()
             } else {
                 // Fully reused point: a *warm* hit when every column matched
                 // a snapshot-loaded basis, intra-sweep reuse otherwise.
@@ -408,8 +427,7 @@ fn run_waves(
                     stats.reused += 1;
                     wave_reuse.reused += 1;
                 }
-                Vec::new()
-            };
+            }
             let mut metrics = Vec::with_capacity(n_cols);
             let mut reused_from = Vec::with_capacity(n_cols);
             for (c, plan) in cols.into_iter().enumerate() {
@@ -421,24 +439,10 @@ fn run_waves(
                         reused_from.push(Some(id));
                     }
                     ColPlan::Fresh(source) => {
-                        let mut tail = std::mem::take(&mut tail_cols[c]);
-                        let om = match source {
-                            FreshSource::Staged(id) => {
-                                let mut samples = Vec::with_capacity(n);
-                                samples.extend_from_slice(
-                                    stores.shard(c).get(id).fingerprint.entries(),
-                                );
-                                samples.append(&mut tail);
-                                let om = OutputMetrics::from_samples(samples);
-                                stores.shard_mut(c).commit_staged(id, om.clone());
-                                om
-                            }
-                            FreshSource::Inline(mut head) => {
-                                head.reserve_exact(tail.len());
-                                head.append(&mut tail);
-                                OutputMetrics::from_samples(head)
-                            }
-                        };
+                        let om = fresh_cols.next().expect("phase 3 built every fresh column");
+                        if let FreshSource::Staged(id) = source {
+                            stores.shard_mut(c).commit_staged(id, om.clone());
+                        }
                         metrics.push(om);
                         reused_from.push(None);
                     }
@@ -570,12 +574,78 @@ pub(crate) fn execute_sketch_refine(
     Ok(SweepResult { points, stats })
 }
 
+/// Phase 3's second half: the metrics of every fresh column of every slot
+/// whose tail evaluated (`tails[slot]` is `Some`), in enumeration order
+/// (slot, then column).
+///
+/// Each pool task fills up to [`OutputMetrics::LANES`] columns' `0..n`
+/// sample vectors, head then tail, and computes their metrics in one
+/// [`OutputMetrics::from_sample_batch`] pass — bit-identical to
+/// `from_samples` per column however the pool runs the tasks. The `n`-sample
+/// buffers outlive the wave as basis samples, so they are allocated here,
+/// on the calling thread rather than in a pool worker's malloc arena, and
+/// moved into their task. Columns go in scatters of about four tasks per
+/// thread, and the tails a scatter used up are freed before the next one
+/// allocates, so a wave never holds all its tails and all its new sample
+/// buffers at once.
+fn fresh_metrics(
+    slots: &[Slot],
+    mut tails: Vec<Option<WorldBatch>>,
+    stores: &ShardedBasisStore,
+    n: usize,
+    threads: usize,
+    pool: &dyn WorkerPool,
+) -> Vec<OutputMetrics> {
+    let mut cols: Vec<(usize, usize, &[f64])> = Vec::new();
+    for (s, slot) in slots.iter().enumerate().filter(|&(s, _)| tails[s].is_some()) {
+        for (c, plan) in slot.cols.iter().enumerate() {
+            let head = match plan {
+                ColPlan::Reuse(..) => continue,
+                ColPlan::Fresh(FreshSource::Staged(id)) => {
+                    stores.shard(c).get(*id).fingerprint.entries()
+                }
+                ColPlan::Fresh(FreshSource::Inline(head)) => head.as_slice(),
+            };
+            cols.push((s, c, head));
+        }
+    }
+    let mut out = Vec::with_capacity(cols.len());
+    let mut freed = 0;
+    for batch in cols.chunks(4 * threads * OutputMetrics::LANES) {
+        let groups: Vec<&[(usize, usize, &[f64])]> = batch.chunks(OutputMetrics::LANES).collect();
+        let buffers: Vec<Mutex<Vec<Vec<f64>>>> = groups
+            .iter()
+            .map(|g| Mutex::new(g.iter().map(|_| Vec::with_capacity(n)).collect()))
+            .collect();
+        let mut done: Vec<OnceLock<Vec<OutputMetrics>>> = Vec::with_capacity(groups.len());
+        done.resize_with(groups.len(), OnceLock::new);
+        pool.scatter(threads, groups.len(), &|t| {
+            let mut samples =
+                std::mem::take(&mut *buffers[t].lock().expect("held only to take the buffers"));
+            for (buf, &(s, c, head)) in samples.iter_mut().zip(groups[t]) {
+                buf.extend_from_slice(head);
+                buf.extend_from_slice(tails[s].as_ref().expect("only evaluated tails").column(c));
+            }
+            done[t].set(OutputMetrics::from_sample_batch(samples)).expect("pool ran a task twice");
+        });
+        out.extend(done.into_iter().flat_map(|d| d.into_inner().expect("pool ran every task")));
+        // Every slot before the batch's last one is finished (a slot's
+        // columns are contiguous).
+        let last = batch[batch.len() - 1].0;
+        tails[freed..last].iter_mut().for_each(|tail| *tail = None);
+        freed = last;
+    }
+    out
+}
+
 /// Evaluate a batch of world-window jobs with up to `threads` workers,
 /// returning each job's columnar [`WorldBatch`] in job order.
 ///
-/// Jobs are split into world chunks handed to the [`WorkerPool`], so the
-/// schedule is load-balanced; results stitch back in `(job, window)` order,
-/// making the output independent of which worker ran what. Each chunk is
+/// The pool gets a handful of tasks per thread, shrinking in world count
+/// as the batch is planned: a task is either a contiguous run of whole
+/// jobs, whose batches come back as evaluated, or one window of a job too
+/// large for one task. Windows stitch back in window order, so the output
+/// is independent of which worker ran what. Jobs and windows alike are
 /// evaluated through [`jigsaw_pdb::eval_window`], which runs the columnar
 /// kernels and converts simulation panics into typed errors inside the
 /// task, so nothing unwinds through the pool.
@@ -585,75 +655,99 @@ fn run_jobs(
     threads: usize,
     pool: &dyn WorkerPool,
 ) -> Vec<JobOutput> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
+    let eval = |j: &EvalJob<'_>| jigsaw_pdb::eval_window(sim, j.point, j.start, j.count);
+    let total: usize = jobs.iter().map(|j| j.count).sum();
     // Tiny batches are not worth a dispatch round; the cutoff is a pure
     // performance heuristic (results are identical either way).
-    if threads <= 1 || jobs.iter().map(|j| j.count).sum::<usize>() <= 32 {
-        return jobs
-            .iter()
-            .map(|j| jigsaw_pdb::eval_window(sim, j.point, j.start, j.count))
-            .collect();
+    if threads <= 1 || total <= 32 {
+        return jobs.iter().map(eval).collect();
     }
 
-    struct Task {
-        job: usize,
-        lo: usize,
-        hi: usize,
+    enum Task {
+        Jobs(Range<usize>),
+        Window { job: usize, lo: usize, hi: usize },
     }
-    // Aim for a few chunks per worker even when only one or two jobs miss.
+    // Guided self-scheduling: a task takes about half a thread's share of
+    // the worlds not yet planned, and never less than a sixteenth of a
+    // thread's share of the whole batch. The first tasks are few and large;
+    // the last are small enough that the threads finish together.
+    let min = total.div_ceil(16 * threads);
+    let want = |remaining: usize| (remaining / (2 * threads)).max(min);
+    let mut remaining = total;
     let mut tasks: Vec<Task> = Vec::new();
-    for (ji, j) in jobs.iter().enumerate() {
-        if j.count == 0 {
-            tasks.push(Task { job: ji, lo: j.start, hi: j.start });
+    let mut ji = 0;
+    while ji < jobs.len() {
+        let j = &jobs[ji];
+        if j.count < 2 * want(remaining) {
+            let (first, mut worlds) = (ji, 0);
+            while ji < jobs.len()
+                && worlds < want(remaining)
+                && (ji == first || jobs[ji].count < 2 * want(remaining))
+            {
+                worlds += jobs[ji].count;
+                ji += 1;
+            }
+            tasks.push(Task::Jobs(first..ji));
+            remaining -= worlds;
             continue;
         }
-        let chunks_per_job = (threads * 2).div_ceil(jobs.len()).clamp(1, j.count);
-        let chunk = j.count.div_ceil(chunks_per_job);
-        let mut lo = j.start;
-        while lo < j.start + j.count {
-            let hi = (j.start + j.count).min(lo + chunk);
-            tasks.push(Task { job: ji, lo, hi });
+        // Too large for one task: windows of the same shrinking size, the
+        // last taking what is left.
+        let (mut lo, end) = (j.start, j.start + j.count);
+        while lo < end {
+            let w = want(remaining);
+            let hi = if end - lo >= 2 * w { lo + w } else { end };
+            tasks.push(Task::Window { job: ji, lo, hi });
+            remaining -= hi - lo;
             lo = hi;
         }
+        ji += 1;
     }
 
     // One write-once slot per task; whichever worker the pool assigns a
     // task fills its slot, and stitching below goes purely by task index.
-    let mut slots: Vec<OnceLock<JobOutput>> = Vec::with_capacity(tasks.len());
+    let mut slots: Vec<OnceLock<Vec<JobOutput>>> = Vec::with_capacity(tasks.len());
     slots.resize_with(tasks.len(), OnceLock::new);
     pool.scatter(threads, tasks.len(), &|t| {
-        let task = &tasks[t];
-        let j = &jobs[task.job];
-        let r = jigsaw_pdb::eval_window(sim, j.point, task.lo, task.hi - task.lo);
+        let r = match tasks[t] {
+            Task::Jobs(ref run) => jobs[run.clone()].iter().map(eval).collect(),
+            Task::Window { job, lo, hi } => {
+                vec![jigsaw_pdb::eval_window(sim, jobs[job].point, lo, hi - lo)]
+            }
+        };
         slots[t].set(r).expect("pool ran a task twice");
     });
 
-    // Stitch chunks back per job. Tasks were emitted job-contiguously and in
-    // window order, so a linear pass reassembles everything; a job's first
-    // erroring chunk (in window order) becomes the job's error.
+    // Tasks were emitted in job order and windows in world order, so one
+    // linear pass reassembles everything; a job's first erroring window
+    // becomes the job's error.
     let n_cols = sim.columns().len();
     let mut out: Vec<JobOutput> = Vec::with_capacity(jobs.len());
-    let mut ti = 0usize;
-    for (ji, j) in jobs.iter().enumerate() {
-        let mut acc = WorldBatch::with_capacity(n_cols, j.count);
-        let mut err = None;
-        while ti < tasks.len() && tasks[ti].job == ji {
-            let r = slots[ti].take().expect("pool ran every task");
-            ti += 1;
-            if err.is_some() {
-                continue;
-            }
-            match r {
-                Ok(part) => acc.extend(part),
-                Err(e) => err = Some(e),
+    for (task, slot) in tasks.iter().zip(slots) {
+        let mut parts = slot.into_inner().expect("pool ran every task");
+        let Task::Window { job, lo, .. } = *task else {
+            out.append(&mut parts);
+            continue;
+        };
+        let part = parts.pop().expect("a window yields one batch");
+        if lo == jobs[job].start {
+            out.push(part.map(|first| {
+                let mut acc = WorldBatch::with_capacity(n_cols, jobs[job].count);
+                acc.extend(first);
+                acc
+            }));
+            continue;
+        }
+        let acc = out.last_mut().expect("a job's first window comes first");
+        match part {
+            Err(e) if acc.is_ok() => *acc = Err(e),
+            Err(_) => {}
+            Ok(more) => {
+                if let Ok(acc) = acc {
+                    acc.extend(more);
+                }
             }
         }
-        out.push(match err {
-            Some(e) => Err(e),
-            None => Ok(acc),
-        });
     }
     out
 }
@@ -664,8 +758,8 @@ mod tests {
     use crate::optimizer::SweepRunner;
     use jigsaw_blackbox::models::{Demand, SynthBasis};
     use jigsaw_blackbox::{FnBlackBox, ParamDecl, ParamSpace};
-    use jigsaw_pdb::{BlackBoxSim, Catalog, DirectEngine, Expr, Plan, PlanSim};
-    use jigsaw_prng::SeedSet;
+    use jigsaw_pdb::{BlackBoxSim, Catalog, DirectEngine, Expr, PdbError, Plan, PlanSim};
+    use jigsaw_prng::{Seed, SeedSet};
     use std::sync::Arc;
 
     fn cfg() -> JigsawConfig {
@@ -700,11 +794,20 @@ mod tests {
 
     #[test]
     fn wave_size_does_not_change_anything() {
-        let sim = demand_sim();
+        // 400 points: the automatic size (0) at 2 threads is 128, 4 waves.
+        let space = ParamSpace::new(vec![
+            ParamDecl::range("week", 0, 199, 1),
+            ParamDecl::set("feature", vec![5, 12]),
+        ]);
+        let sim = BlackBoxSim::new(Arc::new(Demand::paper()), space, SeedSet::new(2024));
         let base = SweepRunner::new(cfg().with_wave_size(1)).run(&sim).unwrap();
-        for wave in [2usize, 7, 16, 10_000] {
-            let r = SweepRunner::new(cfg().with_wave_size(wave).with_threads(4)).run(&sim).unwrap();
+        for (wave, threads) in [(0usize, 2usize), (2, 4), (7, 4), (16, 4), (10_000, 4)] {
+            let c = cfg().with_wave_size(wave).with_threads(threads);
+            let r = SweepRunner::new(c).run(&sim).unwrap();
             assert_identical(&base, &r, &format!("wave={wave}"));
+            if wave == 0 {
+                assert_eq!(r.stats.waves, 4, "auto waves of 128");
+            }
         }
         // wave_size 1 degenerates to the sequential point loop; its wave
         // telemetry must show one point per wave.
@@ -988,15 +1091,21 @@ mod tests {
     /// at every point, so every point needs its own basis and the
     /// exhaustive sweep pays full budget everywhere.
     fn no_reuse_sim(points: i64) -> BlackBoxSim {
-        panicking_sim(points, None)
+        faulty_sim(points, |_, _| None)
     }
 
-    /// [`no_reuse_sim`]'s model, panicking at `p == panic_at`.
-    fn panicking_sim(points: i64, panic_at: Option<f64>) -> BlackBoxSim {
+    /// [`no_reuse_sim`]'s model, except where `fault(p, seed)` panics or
+    /// returns an output to use instead.
+    fn faulty_sim(
+        points: i64,
+        fault: impl Fn(f64, Seed) -> Option<f64> + Send + Sync + 'static,
+    ) -> BlackBoxSim {
         use jigsaw_prng::{dist::Normal, Xoshiro256pp};
         let space = ParamSpace::new(vec![ParamDecl::range("p", 0, points - 1, 1)]);
         let bb = FnBlackBox::new("wild", 1, move |p: &[f64], s| {
-            assert_ne!(Some(p[0]), panic_at, "deliberate test panic");
+            if let Some(out) = fault(p[0], s) {
+                return out;
+            }
             let mut rng = Xoshiro256pp::seeded(s);
             let z = Normal::standard(&mut rng);
             p[0] * 0.01 + z + (1.0 + p[0]) * z * z * z * 0.05
@@ -1004,14 +1113,26 @@ mod tests {
         BlackBoxSim::new(Arc::new(bb), space, SeedSet::new(41))
     }
 
+    /// Sweep `sim` under `c` on a fresh one-column store, expecting it to
+    /// fail; returns the error and the store.
+    fn failing_sweep(sim: &BlackBoxSim, c: &JigsawConfig) -> (PdbError, ShardedBasisStore) {
+        let mut stores = ShardedBasisStore::new(1, c, Arc::new(crate::mapping::AffineFamily));
+        match SweepRunner::new(c.clone()).store(&mut stores).run(sim) {
+            Err(e) => (e, stores),
+            Ok(_) => panic!("the sweep must fail"),
+        }
+    }
+
     #[test]
     fn a_failed_sweep_discards_its_staged_bases_and_keeps_committed_ones() {
         // Waves of 4 over 10 reuse-hostile points: wave 1 commits points
         // 0..4, wave 2 stages point 4 and then fails on point 5's head.
-        let sim = panicking_sim(10, Some(5.0));
+        let sim = faulty_sim(10, |p, _| {
+            assert_ne!(p, 5.0, "deliberate test panic");
+            None
+        });
         let c = cfg().with_wave_size(4);
-        let mut stores = ShardedBasisStore::new(1, &c, Arc::new(crate::mapping::AffineFamily));
-        assert!(SweepRunner::new(c.clone()).store(&mut stores).run(&sim).is_err());
+        let (_, mut stores) = failing_sweep(&sim, &c);
         assert_eq!(stores.staged_total(), 0, "no staged basis outlives the failed sweep");
         assert_eq!(stores.bases_per_column(), vec![4], "the committed wave stays warm");
         for basis in stores.shard(0).bases() {
@@ -1023,6 +1144,74 @@ mod tests {
         let healthy = SweepRunner::new(c).store(&mut stores).run(&no_reuse_sim(10)).unwrap();
         assert_eq!(healthy.stats.warm_hits, 4);
         assert!(healthy.points.iter().all(|p| p.metrics[0].n() == 120));
+    }
+
+    #[test]
+    fn a_non_finite_fingerprint_world_is_a_typed_error_not_a_panic() {
+        // Point 5, in the middle of wave 2, divides by zero in world 3.
+        let seeds = SeedSet::new(41);
+        let sim =
+            faulty_sim(10, move |p, s| (p == 5.0 && s == seeds.seed(3)).then_some(f64::INFINITY));
+        for threads in [1usize, 2] {
+            let c = cfg().with_wave_size(4).with_threads(threads);
+            let (err, stores) = failing_sweep(&sim, &c);
+            match err {
+                PdbError::NanMetric(msg) => {
+                    assert_eq!(msg, "point 5, column 0: fingerprint world 3 returned inf")
+                }
+                other => panic!("threads={threads}: expected NanMetric, got {other:?}"),
+            }
+            assert_eq!(stores.staged_total(), 0, "threads={threads}: point 4's stage survived");
+            assert_eq!(stores.bases_per_column(), vec![4], "threads={threads}");
+            stores.to_snapshot_bytes(&c, "affine").expect("the store still snapshots");
+        }
+    }
+
+    #[test]
+    fn a_completion_window_failure_is_thread_invariant_and_keeps_full_bases() {
+        // Point 5 resolves and stages like every other point, then panics
+        // in one completion world (m + 7). In waves of 4 it sits in the
+        // middle of wave 2; in waves of 1 its tail is the only job of its
+        // wave, which 2 threads split into windows.
+        let seeds = SeedSet::new(41);
+        let tail_world = cfg().fingerprint_len + 7;
+        let sim = faulty_sim(10, move |p, s| {
+            assert!(p != 5.0 || s != seeds.seed(tail_world), "deliberate completion panic");
+            None
+        });
+        let mut errors = Vec::new();
+        for (wave, threads) in [(4usize, 1usize), (4, 2), (1, 2)] {
+            let what = format!("wave={wave} threads={threads}");
+            let c = cfg().with_wave_size(wave).with_threads(threads);
+            let (err, stores) = failing_sweep(&sim, &c);
+            errors.push(err.to_string());
+            assert_eq!(stores.staged_total(), 0, "{what}: a staged basis survived");
+            // Points 0..=4 commit ahead of point 5.
+            assert_eq!(stores.bases_per_column(), vec![5], "{what}");
+            for basis in stores.shard(0).bases() {
+                assert_eq!(basis.metrics.n(), c.n_samples, "{what}: {:?}", basis.id);
+            }
+        }
+        assert!(errors[0].contains("deliberate completion panic"), "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "the error depends on the schedule");
+    }
+
+    #[test]
+    fn run_jobs_reassembles_every_plan() {
+        // Zero-world, tiny, and large jobs, so plans mix runs of whole jobs
+        // with windows; a reverse-order pool runs the tasks back to front.
+        let sim = no_reuse_sim(4);
+        let point = [2.0];
+        let counts = [0usize, 5, 300, 3, 0, 1000, 7, 40];
+        let jobs: Vec<EvalJob<'_>> =
+            counts.iter().map(|&count| EvalJob { point: &point, start: 10, count }).collect();
+        let want = run_jobs(&sim, &jobs, 1, &ScopedPool);
+        for threads in [2usize, 3, 8] {
+            for pool in [&ScopedPool as &dyn WorkerPool, &ReversePool] {
+                assert_eq!(run_jobs(&sim, &jobs, threads, pool), want, "threads={threads}");
+            }
+            assert_eq!(run_jobs(&sim, &jobs[5..6], threads, &ReversePool), want[5..6]);
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Spawning threads per parallel phase (what
 //! [`ScopedPool`](super::executor::ScopedPool), the test reference, does)
-//! costs tens of microseconds per scatter, and a sweep scatters twice per
-//! wave. [`PersistentPool`] moves provisioning out of the hot path: workers
-//! are created in [`PersistentPool::new`] and parked on a condvar; each
+//! costs tens of microseconds per scatter, and a sweep scatters at least
+//! three times per wave. [`PersistentPool`] moves provisioning out of the
+//! hot path: workers are created in [`PersistentPool::new`] and parked on
+//! a condvar; each
 //! [`scatter`](super::executor::WorkerPool::scatter) publishes one *job*
 //! (an atomic task cursor plus a completion counter), wakes the workers,
 //! participates from the calling thread, and returns when the counter says

@@ -88,10 +88,38 @@ impl PartialEq for OutputMetrics {
 }
 
 impl OutputMetrics {
+    /// Sample vectors per lane-interleaved pass of [`Self::from_sample_batch`].
+    /// Over 2000 × 1000 samples on a 2-core x86-64 host, one lane took
+    /// 12.4 ms, 4 lanes 3.8 ms and 8 lanes 3.7–5.2 ms; 4 also leaves the
+    /// smaller remainder.
+    pub const LANES: usize = 4;
+
     /// Build from i.i.d. samples of the output distribution.
     pub fn from_samples(samples: Vec<f64>) -> Self {
         let moments = Moments::from_slice(&samples);
         OutputMetrics { moments, samples: Samples::Owned(Arc::new(samples)) }
+    }
+
+    /// [`Self::from_samples`] for every vector, bit for bit, in order. Each
+    /// run of [`Self::LANES`] equal-length vectors shares one
+    /// [`Moments::from_slices`] pass; the rest go one at a time.
+    pub fn from_sample_batch(samples: Vec<Vec<f64>>) -> Vec<OutputMetrics> {
+        let mut moments = Vec::with_capacity(samples.len());
+        let mut groups = samples.chunks_exact(Self::LANES);
+        for g in &mut groups {
+            if g.iter().all(|v| v.len() == g[0].len()) {
+                let lanes: [&[f64]; Self::LANES] = std::array::from_fn(|l| g[l].as_slice());
+                moments.extend(Moments::from_slices(lanes));
+            } else {
+                moments.extend(g.iter().map(|v| Moments::from_slice(v)));
+            }
+        }
+        moments.extend(groups.remainder().iter().map(|v| Moments::from_slice(v)));
+        samples
+            .into_iter()
+            .zip(moments)
+            .map(|(v, moments)| OutputMetrics { moments, samples: Samples::Owned(Arc::new(v)) })
+            .collect()
     }
 
     /// Number of Monte Carlo samples summarized.

@@ -30,6 +30,41 @@ impl Moments {
         m
     }
 
+    /// Accumulate `L` equal-length slices at once, one accumulator per lane.
+    ///
+    /// Lane `l` performs exactly [`Moments::push`]'s IEEE operations over
+    /// `xs[l]` in the same order, so its result is bit-identical to
+    /// `from_slice(xs[l])`. The lanes share the count and are otherwise
+    /// independent chains: interleaving them lets the hardware overlap the
+    /// per-sample division that serializes a single accumulator.
+    #[allow(clippy::needless_range_loop)] // the lanes advance in lockstep
+    pub fn from_slices<const L: usize>(xs: [&[f64]; L]) -> [Moments; L] {
+        let len = xs.first().map_or(0, |x| x.len());
+        assert!(xs.iter().all(|x| x.len() == len), "lanes must have equal lengths");
+        let mut mean = [0.0; L];
+        let mut m2 = [0.0; L];
+        let mut min = [f64::INFINITY; L];
+        let mut max = [f64::NEG_INFINITY; L];
+        for i in 0..len {
+            let n = (i + 1) as u64 as f64;
+            for l in 0..L {
+                let x = xs[l][i];
+                let delta = x - mean[l];
+                mean[l] += delta / n;
+                m2[l] += delta * (x - mean[l]);
+                min[l] = min[l].min(x);
+                max[l] = max[l].max(x);
+            }
+        }
+        std::array::from_fn(|l| Moments {
+            n: len as u64,
+            mean: mean[l],
+            m2: m2[l],
+            min: min[l],
+            max: max[l],
+        })
+    }
+
     /// Add one observation.
     #[inline]
     pub fn push(&mut self, x: f64) {

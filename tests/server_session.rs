@@ -400,3 +400,56 @@ fn save_load_bridges_server_restarts() {
     handle.shutdown().expect("shutdown");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A scenario whose fingerprint worlds are non-finite — a divide by zero in
+/// the SQL dialect yields ±∞ or NaN — draws a typed `ERR` from `SWEEP` and
+/// `ESTIMATE`, and leaves the scenario's store usable: the check runs
+/// before any store lock is taken, so no panic poisons it for later verbs.
+#[test]
+fn a_non_finite_scenario_answers_err_and_keeps_its_store_usable() {
+    let dir = std::env::temp_dir().join(format!("jigsaw-server-nonfinite-{}", std::process::id()));
+    let handle = JigsawServer::builder()
+        .config(jigsaw_cfg(2))
+        .master_seed(MASTER_SEED)
+        .snapshot_dir(dir.clone())
+        .bind("127.0.0.1:0")
+        .expect("bind")
+        .serve()
+        .expect("start");
+    let mut c = Client::connect(handle.local_addr()).expect("connect");
+    // A request that panics drops its session, so each check re-compiles;
+    // the registry hands back the same shared store every time.
+    let compile = |c: &mut Client| {
+        let src = "DECLARE PARAMETER @week AS RANGE 0 TO 29 STEP BY 1; \
+             DECLARE PARAMETER @feature AS SET (5, 12); \
+             SELECT Demand(@week, @feature) / (@week - @week) AS ratio INTO results;";
+        match c.request(&Request::Compile { src: src.into() }).expect("compile") {
+            Response::Compiled { points, .. } => assert_eq!(points, 60),
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let checks = [(Request::Sweep, "SWEEP"), (Request::Estimate { point: 0, col: 0 }, "ESTIMATE")];
+    for (verb, name) in checks {
+        compile(&mut c);
+        match c.request(&verb).expect("the verb answers") {
+            Response::Error { code, message } => {
+                assert_eq!(code, jigsaw::server::ErrorCode::Exec, "{name}: {message}");
+                assert!(
+                    message.contains("point 0, column 0: fingerprint world 0 returned"),
+                    "{name}: {message}"
+                );
+            }
+            other => panic!("{name} must answer a typed ERR, got {other:?}"),
+        }
+        // SAVE reads the store under its lock, which a panic inside the
+        // verb above would have poisoned.
+        compile(&mut c);
+        match c.request(&Request::Save { name: "after-nan".into() }).expect("save answers") {
+            Response::Saved { .. } => {}
+            other => panic!("after {name}, the store must still snapshot, got {other:?}"),
+        }
+    }
+    assert_eq!(c.request(&Request::Quit).expect("quit"), Response::Bye);
+    handle.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
