@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use jigsaw_pdb::{OutputMetrics, PdbError, Result, Simulation};
 
-use crate::basis::{BasisId, ShardedBasisStore, SharedBasisStore};
+use crate::basis::{BasisId, BasisStore, ShardedBasisStore, SharedBasisStore};
 use crate::config::JigsawConfig;
 use crate::fingerprint::Fingerprint;
 use crate::mapping::{AffineFamily, AffineMap};
@@ -125,7 +125,8 @@ impl Estimate {
 pub struct BoundedEstimate {
     /// The final estimate (its `lo`/`hi` carry the achieved bound).
     pub estimate: Estimate,
-    /// Whether `width ≤ eps` was reached (false = budget exhausted first).
+    /// Whether `width ≤ eps` was reached (false = the budget ran out, or
+    /// the caller stopped the loop, first).
     pub converged: bool,
     /// Refinement steps taken after the initial tier-0 answer.
     pub steps: usize,
@@ -147,27 +148,36 @@ struct PointColState {
     bound: Option<(f64, f64)>,
 }
 
-/// Fold a fresh raw bound into the running intersection. A drifting mean
-/// can empty the intersection; in that case keep the last consistent
-/// interval (skipping the update) rather than inverting or re-widening.
-fn tighten_bound(stored: &mut Option<(f64, f64)>, raw: Option<(f64, f64)>) {
-    let Some((rlo, rhi)) = raw else { return };
-    match stored {
-        None => *stored = Some((rlo, rhi)),
-        Some((slo, shi)) => {
-            let lo = slo.max(rlo);
-            let hi = shi.min(rhi);
-            if lo <= hi {
-                *stored = Some((lo, hi));
-            }
+impl PointColState {
+    /// The estimate-source rule: serve the mapped basis (`Some`) when it has
+    /// more samples than the direct metrics, else the direct metrics
+    /// (`None`). `shard` is the column's store shard, read under the lock
+    /// acquisition that vouches for the cached basis link.
+    fn mapped(&self, shard: &BasisStore) -> Option<OutputMetrics> {
+        let (id, map) = self.basis?;
+        let basis = shard.try_get(id)?;
+        (basis.metrics.n() > self.metrics.n()).then(|| map.apply_metrics(&basis.metrics))
+    }
+
+    /// Tighten the running bound with the raw interval of whichever source
+    /// [`Self::mapped`] picks, i.e. the one `estimate()` serves.
+    fn tighten(&mut self, shard: &BasisStore) {
+        let raw = match self.mapped(shard) {
+            Some(mapped) => mapped.expectation_interval(BOUND_Z),
+            None => self.metrics.expectation_interval(BOUND_Z),
+        };
+        if raw.is_some() {
+            self.bound = Some(effective_bound(self.bound, raw));
         }
     }
 }
 
-/// The interval `estimate()` reports: the stored running intersection
-/// narrowed by the current raw bound (read-only — `&self` cannot persist
-/// the tightening; the next mutating op will). `(NaN, NaN)` only when no
-/// bound exists at all, which implies a NaN expectation.
+/// The stored running intersection narrowed by a fresh raw bound. A
+/// drifting mean can empty the intersection; then the last consistent
+/// interval stands rather than inverting or re-widening. `estimate()`
+/// reports it without persisting it (`&self`); [`PointColState::tighten`]
+/// stores it. `(NaN, NaN)` only when no bound exists at all, which implies
+/// a NaN expectation.
 fn effective_bound(stored: Option<(f64, f64)>, raw: Option<(f64, f64)>) -> (f64, f64) {
     match (stored, raw) {
         (Some((slo, shi)), Some((rlo, rhi))) => {
@@ -447,20 +457,9 @@ impl InteractiveSession {
                 // Tier-0 bound: whatever the richer of (mapped basis,
                 // fingerprint head) already supports, without any further
                 // simulation.
-                let raw = match &basis {
-                    Some((id, map)) => {
-                        let b = store.get(*id);
-                        if b.metrics.n() > metrics.n() {
-                            map.apply_metrics(&b.metrics).expectation_interval(BOUND_Z)
-                        } else {
-                            metrics.expectation_interval(BOUND_Z)
-                        }
-                    }
-                    None => metrics.expectation_interval(BOUND_Z),
-                };
-                let mut bound = None;
-                tighten_bound(&mut bound, raw);
-                cols.push(PointColState { n_direct: m, metrics, basis, bound });
+                let mut col = PointColState { n_direct: m, metrics, basis, bound: None };
+                col.tighten(store);
+                cols.push(col);
             }
             (cols, warm)
         });
@@ -541,20 +540,7 @@ impl InteractiveSession {
                         col.basis = None;
                     }
                 }
-                // Tighten the running bound with the raw interval of
-                // whichever source `estimate()` will now serve.
-                let raw = match col.basis {
-                    Some((id, map)) => {
-                        let basis = stores.shard_mut(c).get(id);
-                        if basis.metrics.n() > col.metrics.n() {
-                            map.apply_metrics(&basis.metrics).expectation_interval(BOUND_Z)
-                        } else {
-                            col.metrics.expectation_interval(BOUND_Z)
-                        }
-                    }
-                    None => col.metrics.expectation_interval(BOUND_Z),
-                };
-                tighten_bound(&mut col.bound, raw);
+                col.tighten(stores.shard(c));
             }
         });
         Ok(())
@@ -581,44 +567,33 @@ impl InteractiveSession {
     pub fn estimate(&self, point_idx: usize, col: usize) -> Option<Estimate> {
         let state = self.points.get(&point_idx)?;
         let c = &state.cols[col];
-        if let Some((id, map)) = c.basis {
-            // `&self` cannot drop stale links, but it can refuse to follow
-            // them: if the store was replaced since this session last
-            // synced (generation observed under the same lock as the
-            // dereference), the cached id may alias an unrelated basis at
-            // the same index — fall back to the direct samples instead.
-            let mapped = self.store.with_store_versioned(|generation, stores| {
-                if generation != self.seen_generation {
-                    return None;
+        // `&self` cannot drop stale links, but it can refuse to follow them:
+        // if the store was replaced since this session last synced
+        // (generation observed under the same lock as the dereference), the
+        // cached id may alias an unrelated basis at the same index — fall
+        // back to the direct samples instead.
+        let mapped = c.basis.and_then(|_| {
+            self.store.with_store_versioned(|generation, stores| {
+                if generation == self.seen_generation {
+                    c.mapped(stores.shard(col))
+                } else {
+                    None
                 }
-                stores
-                    .shard(col)
-                    .try_get(id)
-                    .filter(|basis| basis.metrics.n() > c.metrics.n())
-                    .map(|basis| map.apply_metrics(&basis.metrics))
-            });
-            if let Some(mapped) = mapped {
-                let (lo, hi) = effective_bound(c.bound, mapped.expectation_interval(BOUND_Z));
-                return Some(Estimate {
-                    point_idx,
-                    expectation: mapped.expectation(),
-                    std_dev: mapped.std_dev(),
-                    lo,
-                    hi,
-                    n_samples: mapped.n(),
-                    source: EstimateSource::MappedBasis,
-                });
-            }
-        }
-        let (lo, hi) = effective_bound(c.bound, c.metrics.expectation_interval(BOUND_Z));
+            })
+        });
+        let (metrics, source) = match &mapped {
+            Some(mapped) => (mapped, EstimateSource::MappedBasis),
+            None => (&c.metrics, EstimateSource::Direct),
+        };
+        let (lo, hi) = effective_bound(c.bound, metrics.expectation_interval(BOUND_Z));
         Some(Estimate {
             point_idx,
-            expectation: c.metrics.expectation(),
-            std_dev: c.metrics.std_dev(),
+            expectation: metrics.expectation(),
+            std_dev: metrics.std_dev(),
             lo,
             hi,
-            n_samples: c.metrics.n(),
-            source: EstimateSource::Direct,
+            n_samples: metrics.n(),
+            source,
         })
     }
 
@@ -684,38 +659,40 @@ impl InteractiveSession {
         Ok(est)
     }
 
-    /// The blocking form of the anytime contract: refine `(point_idx,
-    /// col)` until the bound is at most `eps` wide or the per-point sample
-    /// budget (`n_target`) is exhausted, and report which it was. A
-    /// converged `SUBSCRIBE` stream ends with exactly the bits this
-    /// returns for the same (config, seed, budget) — both paths run the
-    /// same refine steps in the same order.
+    /// The anytime loop (Algorithm 5's refinement of one point): an
+    /// [`Self::estimate_now`], then [`Self::refine_once`] steps until the
+    /// bound of `(point_idx, col)` is at most `eps` wide or the per-point
+    /// sample budget (`n_target`) is exhausted; the result says which.
+    ///
+    /// `on_bound` sees the tier-0 estimate and then every refined one that
+    /// is neither within `eps` nor the exhausted last step's; returning
+    /// `false` stops the loop there. The server's `SUBSCRIBE` streams these,
+    /// so a stream and a blocking call take the same steps.
     pub fn estimate_bounded(
         &mut self,
         point_idx: usize,
         col: usize,
         eps: f64,
+        mut on_bound: impl FnMut(&Estimate) -> bool,
     ) -> Result<BoundedEstimate> {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(PdbError::OutOfRange(format!(
                 "eps must be positive and finite, got {eps}"
             )));
         }
-        self.check_range(point_idx, col)?;
-        self.touch(point_idx)?;
-        let mut est = Self::wire_safe(self.estimate(point_idx, col).expect("touched"))?;
+        let mut est = self.estimate_now(point_idx, col)?;
         let mut steps = 0usize;
-        while est.width() > eps {
+        let mut going = on_bound(&est);
+        while going && est.width() > eps {
             let before = self.worlds_evaluated;
-            self.generate_batch(point_idx)?;
+            est = self.refine_once(point_idx, col)?;
             if self.worlds_evaluated == before {
-                // n_target reached with the bound still wider than eps.
-                return Ok(BoundedEstimate { estimate: est, converged: false, steps });
+                break; // n_target reached with the bound still wider than eps
             }
             steps += 1;
-            est = Self::wire_safe(self.estimate(point_idx, col).expect("touched"))?;
+            going = est.width() <= eps || on_bound(&est);
         }
-        Ok(BoundedEstimate { estimate: est, converged: true, steps })
+        Ok(BoundedEstimate { converged: est.width() <= eps, estimate: est, steps })
     }
 
     /// Count a served estimate as tier-0 (answered from the fingerprint
@@ -1013,7 +990,7 @@ mod tests {
     fn estimate_bounded_converges_and_matches_blocking_estimate() {
         let s = sim();
         let mut session = InteractiveSession::new(s.clone(), SessionConfig::default());
-        let bounded = session.estimate_bounded(9, 0, 0.5).unwrap();
+        let bounded = session.estimate_bounded(9, 0, 0.5, |_| true).unwrap();
         assert!(bounded.converged);
         assert!(bounded.estimate.width() <= 0.5);
         assert!(bounded.steps > 0, "a cold point needs refinement to reach eps");
@@ -1033,7 +1010,7 @@ mod tests {
         let cfg = SessionConfig { n_target: 20, ..SessionConfig::default() };
         let mut session = InteractiveSession::new(s.clone(), cfg);
         // An absurdly tight bound cannot be met with 20 samples.
-        let bounded = session.estimate_bounded(9, 0, 1e-12).unwrap();
+        let bounded = session.estimate_bounded(9, 0, 1e-12, |_| true).unwrap();
         assert!(!bounded.converged);
         assert!(bounded.estimate.width() > 1e-12);
         assert_eq!(bounded.estimate.n_samples, 20, "refined to the cap before giving up");
@@ -1044,7 +1021,7 @@ mod tests {
         let s = sim();
         let mut session = InteractiveSession::new(s.clone(), SessionConfig::default());
         for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            match session.estimate_bounded(9, 0, eps) {
+            match session.estimate_bounded(9, 0, eps, |_| true) {
                 Err(jigsaw_pdb::PdbError::OutOfRange(msg)) => assert!(msg.contains("eps")),
                 other => panic!("eps {eps}: expected OutOfRange, got {other:?}"),
             }
@@ -1055,23 +1032,44 @@ mod tests {
     fn refine_once_stream_matches_estimate_bounded() {
         let s = sim();
         let eps = 0.5;
-        // Path A: the blocking loop.
-        let mut blocking = InteractiveSession::new(s.clone(), SessionConfig::default());
-        let bounded = blocking.estimate_bounded(9, 0, eps).unwrap();
-        // Path B: the server's SUBSCRIBE stepping — touch, then refine one
-        // batch at a time until the width crosses eps.
-        let mut streaming = InteractiveSession::new(s.clone(), SessionConfig::default());
-        let mut est = streaming.refine_once(9, 0).unwrap();
+        let key =
+            |e: &Estimate| (e.n_samples, e.expectation.to_bits(), e.lo.to_bits(), e.hi.to_bits());
+        // The anytime loop, recording every bound its callback sees.
+        let mut looped = InteractiveSession::new(s.clone(), SessionConfig::default());
+        let mut seen = Vec::new();
+        let bounded = looped
+            .estimate_bounded(9, 0, eps, |e| {
+                seen.push(key(e));
+                true
+            })
+            .unwrap();
+        // The same steps by hand: touch, then refine one batch at a time.
+        let mut stepped = InteractiveSession::new(s.clone(), SessionConfig::default());
+        let mut est = stepped.refine_once(9, 0).unwrap();
+        let mut wider = Vec::new();
         while est.width() > eps {
-            let before = streaming.worlds_evaluated;
-            est = streaming.refine_once(9, 0).unwrap();
-            assert!(streaming.worlds_evaluated > before, "refinement must progress");
+            wider.push(key(&est));
+            est = stepped.refine_once(9, 0).unwrap();
         }
-        assert_eq!(est.expectation.to_bits(), bounded.estimate.expectation.to_bits());
-        assert_eq!(est.lo.to_bits(), bounded.estimate.lo.to_bits());
-        assert_eq!(est.hi.to_bits(), bounded.estimate.hi.to_bits());
-        assert_eq!(est.n_samples, bounded.estimate.n_samples);
-        assert_eq!(streaming.worlds_evaluated, blocking.worlds_evaluated);
+        // The callback saw tier 0 and every refined bound still wider than
+        // eps, and the loop ended on the bits the stepping converged to.
+        assert_eq!(seen, wider);
+        assert_eq!(bounded.steps, wider.len());
+        assert_eq!(key(&bounded.estimate), key(&est));
+        assert_eq!(looped.worlds_evaluated, stepped.worlds_evaluated);
+    }
+
+    #[test]
+    fn estimate_bounded_stops_when_on_bound_says_so() {
+        let cfg = SessionConfig::default();
+        let mut session = InteractiveSession::new(sim(), cfg);
+        // Tier 0 and the first refined bound go on; the second says stop.
+        let mut answers = [true, true, false].into_iter();
+        let bounded = session.estimate_bounded(9, 0, 1e-12, |_| answers.next().unwrap()).unwrap();
+        assert_eq!(answers.next(), None, "tier 0, then two refined bounds");
+        assert!(!bounded.converged);
+        assert_eq!(bounded.steps, 2);
+        assert_eq!(session.worlds_evaluated, (cfg.fingerprint_len + 2 * cfg.batch) as u64);
     }
 
     #[test]

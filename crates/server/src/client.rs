@@ -13,33 +13,28 @@ use crate::protocol::{
 /// A connected protocol client.
 pub struct Client {
     stream: TcpStream,
-    negotiated: u32,
 }
 
 impl Client {
-    /// Connect to a running session server and perform the `HELLO`
-    /// handshake, recording the negotiated protocol version. Disables
-    /// Nagle's algorithm: the protocol is strict request/response with
-    /// small frames, where write coalescing only adds delayed-ACK latency.
+    /// Connect to a running session server and check, with the `HELLO`
+    /// handshake, that it speaks [`PROTOCOL_VERSION`]; any other reply is
+    /// an [`ErrorKind::InvalidData`] error. Disables Nagle's algorithm: the
+    /// protocol is strict request/response with small frames, where write
+    /// coalescing only adds delayed-ACK latency.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut client = Client { stream, negotiated: 0 };
+        let mut client = Client { stream };
         let bad = |m: String| std::io::Error::new(ErrorKind::InvalidData, m);
         match client
             .request(&Request::Hello { version: PROTOCOL_VERSION })
             .map_err(|e| bad(format!("handshake failed: {e}")))?
         {
-            Response::Welcome { version } => client.negotiated = version,
-            other => return Err(bad(format!("expected WELCOME, got `{}`", other.encode()))),
+            Response::Welcome { version: PROTOCOL_VERSION } => Ok(client),
+            other => {
+                Err(bad(format!("expected WELCOME {PROTOCOL_VERSION}, got `{}`", other.encode())))
+            }
         }
-        Ok(client)
-    }
-
-    /// The protocol version agreed during [`Client::connect`]'s handshake:
-    /// the minimum of this client's [`PROTOCOL_VERSION`] and the server's.
-    pub fn negotiated_version(&self) -> u32 {
-        self.negotiated
     }
 
     /// Send one request and wait for its response. The protocol is strictly

@@ -49,7 +49,7 @@ use jigsaw_sql::{compile, Scenario};
 
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, ProtocolError, Request, Response, MAX_FRAME,
-    PROTOCOL_VERSION,
+    PROTOCOL_VERSION, VERBS,
 };
 use crate::server::{fnv64, snapshot_family, snapshot_filename, ServerState, FAMILY};
 
@@ -58,23 +58,6 @@ use crate::server::{fnv64, snapshot_family, snapshot_filename, ServerState, FAMI
 /// let one request hold its connection, and contend with every other client
 /// of the scenario, for as long as the client cared to ask.
 pub const MAX_TICKS_PER_REQUEST: u32 = 10_000;
-
-/// Every wire verb, in grammar order — the label space of the per-verb
-/// request instruments.
-const VERBS: [&str; 12] = [
-    "HELLO",
-    "COMPILE",
-    "SWEEP",
-    "FOCUS",
-    "ESTIMATE",
-    "SUBSCRIBE",
-    "TICK",
-    "STATS",
-    "SAVE",
-    "LOAD",
-    "METRICS",
-    "QUIT",
-];
 
 /// Cached handles for the connection layer's instruments (registered once,
 /// updated lock-free). The per-verb counter and latency histogram are
@@ -293,10 +276,6 @@ struct Conn {
     stream: Arc<TcpStream>,
     /// `None` before `COMPILE`, and after a request panicked.
     session: Option<Session>,
-    /// Negotiated protocol version (1 until the client says `HELLO`).
-    /// Version-gated verbs (`SUBSCRIBE` v2+, `METRICS` v3+) check it
-    /// before executing.
-    version: u32,
 }
 
 /// Serve one accepted connection on the calling thread until the peer
@@ -307,7 +286,7 @@ pub(crate) fn serve(stream: Arc<TcpStream>, state: &ServerState) {
     // Small request/response frames interact with Nagle and delayed ACK
     // into tens-of-milliseconds round trips.
     let _ = stream.set_nodelay(true);
-    let mut conn = Conn { stream, session: None, version: 1 };
+    let mut conn = Conn { stream, session: None };
     let _ = conn.run(state);
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
@@ -367,10 +346,15 @@ impl Conn {
     /// `SUBSCRIBE` writes frames of its own before that).
     fn execute(&mut self, req: Request, state: &ServerState) -> Result<Response, ProtocolError> {
         Ok(match req {
-            Request::Hello { version } => {
-                self.version = version.min(PROTOCOL_VERSION);
-                Response::Welcome { version: self.version }
+            Request::Hello { version } if version == PROTOCOL_VERSION => {
+                Response::Welcome { version }
             }
+            Request::Hello { version } => err(
+                ErrorCode::Unsupported,
+                &format!(
+                    "protocol version {version}: this server speaks version {PROTOCOL_VERSION}"
+                ),
+            ),
             Request::Subscribe { point, col, eps_bits } => {
                 return self.subscribe(point, col, f64::from_bits(eps_bits));
             }
@@ -380,17 +364,7 @@ impl Conn {
             // handled like any other response — `send` substitutes a typed
             // `ERR exec` frame.
             Request::Metrics => {
-                if self.version < 3 {
-                    err(
-                        ErrorCode::Unsupported,
-                        &format!(
-                            "METRICS requires protocol version 3 (negotiated {})",
-                            self.version
-                        ),
-                    )
-                } else {
-                    Response::Metrics { text: jigsaw_obs::global().snapshot().render_prometheus() }
-                }
+                Response::Metrics { text: jigsaw_obs::global().snapshot().render_prometheus() }
             }
             Request::Compile { src } => match Compiled::build(state, &src) {
                 Err(e) => e,
@@ -420,50 +394,38 @@ impl Conn {
         })
     }
 
-    /// Serve a `SUBSCRIBE`: answer the tier-0 interval at once (no
-    /// simulation beyond the fingerprint head), then refine in place,
-    /// writing an `INTERVAL` each time the bound moves, until it is within
-    /// `eps` or the sample budget runs dry. The closing `EST` is returned;
-    /// its bits equal a blocking `ESTIMATE` of the same refined state —
-    /// both read the same running-intersection bound.
+    /// Serve a `SUBSCRIBE`: run the session's anytime loop
+    /// ([`InteractiveSession::estimate_bounded`]), writing its tier-0 bound
+    /// and then each refined bound that moved as an `INTERVAL`. The closing
+    /// `EST` is returned; its bits equal a blocking `ESTIMATE` of the same
+    /// refined state — both read the same running-intersection bound.
     fn subscribe(&mut self, point: usize, col: usize, eps: f64) -> Result<Response, ProtocolError> {
-        if self.version < 2 {
-            return Ok(err(
-                ErrorCode::Unsupported,
-                &format!("SUBSCRIBE requires protocol version 2 (negotiated {})", self.version),
-            ));
-        }
         let Some(sess) = &mut self.session else { return Ok(no_session()) };
         if let Err(e) = sess.compiled.check_range(point, Some(col)) {
             return Ok(e);
         }
-        let session = &mut sess.session;
-        let mut est = match session.estimate_now(point, col) {
-            Ok(est) => est,
-            Err(e) => return Ok(err(ErrorCode::Exec, &e.to_string())),
-        };
         let _live = LiveStream::open();
-        send(&self.stream, &interval(point, col, &est))?;
+        let stream = &self.stream;
         // Refine steps that do not move the bound write no frame, so a
         // slow-converging stream is not a wall of identical lines.
-        let bound = |e: &Estimate| (e.n_samples, e.lo.to_bits(), e.hi.to_bits());
-        let mut last = bound(&est);
-        while est.width() > eps {
-            let before = session.worlds_evaluated;
-            est = match session.refine_once(point, col) {
-                Ok(est) => est,
-                Err(e) => return Ok(err(ErrorCode::Exec, &e.to_string())),
-            };
-            let exhausted = session.worlds_evaluated == before;
-            if exhausted || est.width() <= eps {
-                break;
+        let mut last = None;
+        let mut failed = None;
+        let bounded = sess.session.estimate_bounded(point, col, eps, |est| {
+            let bound = Some((est.n_samples, est.lo.to_bits(), est.hi.to_bits()));
+            if bound == last {
+                return true;
             }
-            if bound(&est) != last {
-                last = bound(&est);
-                send(&self.stream, &interval(point, col, &est))?;
-            }
+            last = bound;
+            // A failed write means the client is gone: stop refining.
+            send(stream, &interval(point, col, est)).map_err(|e| failed = Some(e)).is_ok()
+        });
+        if let Some(e) = failed {
+            return Err(e);
         }
-        Ok(estimated(point, col, &est))
+        Ok(match bounded {
+            Ok(bounded) => estimated(point, col, &bounded.estimate),
+            Err(e) => err(ErrorCode::Exec, &e.to_string()),
+        })
     }
 }
 
@@ -608,7 +570,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind pair");
         let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let stream = Arc::new(listener.accept().expect("accept").0);
-        let mut conn = Conn { stream, session: None, version: 1 };
+        let mut conn = Conn { stream, session: None };
         let request = |conn: &mut Conn, req: Request| {
             conn.accounted(req.verb(), |c| c.execute(req, &state)).expect("no socket I/O")
         };

@@ -12,16 +12,17 @@
 //! Requests:
 //!
 //! ```text
-//! HELLO <version>            negotiate the protocol version (optional)
+//! HELLO <version>            check the protocol version (optional)
 //! COMPILE\n<script>          compile a scenario; attaches the shared store
 //! SWEEP                      run the wave executor over the whole space
 //! FOCUS <point>              move the session focus
 //! ESTIMATE <point> <col>     touch a point and return its estimate
-//! SUBSCRIBE <point> <col> <eps>   stream the anytime bound (v2+)
+//! SUBSCRIBE <point> <col> <eps>   stream the anytime bound
 //! TICK <count>               run <count> event-loop iterations
 //! STATS                      session + shared-store telemetry
 //! SAVE <name>                snapshot the shared store server-side
 //! LOAD <name>                replace the shared store from a snapshot
+//! METRICS                    process-wide metrics snapshot
 //! QUIT                       close the connection
 //! ```
 //!
@@ -44,15 +45,11 @@
 //! ERR <code> <message>
 //! ```
 //!
-//! The handshake is *optional and stateless*: a client may send `HELLO`
-//! with the highest version it speaks (in any connection state), and the
-//! server answers `WELCOME` with `min(client, server)` — the version both
-//! sides then hold to. New *verbs* gate on the negotiated version:
-//! `SUBSCRIBE` (version 2) and `METRICS` (version 3) are answered
-//! `ERR unsupported` on a connection negotiated below their version.
-//! Version 2 also widened `EST` with the anytime bound's
-//! `<lo_bits> <hi_bits>`; in-repo client and server always move together
-//! (the golden transcripts pin the current shape).
+//! There is one protocol version, [`PROTOCOL_VERSION`], and the handshake
+//! is an *optional compatibility check*: `HELLO` (in any connection state)
+//! with that version is answered `WELCOME` with it; any other version is
+//! answered `ERR unsupported`, naming both, and the connection keeps
+//! serving. A client that never says `HELLO` gets the same full verb set.
 //!
 //! `METRICS` is the one response besides `COMPILE`'s request that carries
 //! a body: the verb line, a newline, then the process-wide metrics
@@ -85,11 +82,9 @@ use jigsaw_pdb::PdbError;
 /// before any allocation is sized from them.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Highest protocol version this build speaks. Version 1 is the original
-/// verb set plus the `HELLO`/`WELCOME` handshake itself; version 2 adds
-/// the anytime-estimate surface (`SUBSCRIBE`/`INTERVAL`, and the
-/// `lo_bits`/`hi_bits` fields on `EST`); version 3 adds the `METRICS`
-/// observability verb.
+/// The one protocol version this build speaks — the protocol's third wire
+/// shape; no client of the first two survives. `HELLO` with any other is
+/// refused.
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Why a frame or message could not be read, written, or parsed.
@@ -194,12 +189,43 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtocolError> {
     String::from_utf8(payload).map(Some).map_err(|_| ProtocolError::NotUtf8)
 }
 
+/// Split a frame payload into its verb, its space-separated arguments and
+/// the body after the first newline, which only `body_verb` may carry.
+fn split_payload<'a>(
+    payload: &'a str,
+    body_verb: &str,
+) -> Result<(&'a str, Vec<&'a str>, Option<&'a str>), ProtocolError> {
+    let (line, body) = match payload.split_once('\n') {
+        Some((line, body)) => (line, Some(body)),
+        None => (payload, None),
+    };
+    let mut words = line.split(' ');
+    let verb = words.next().unwrap_or("");
+    if body.is_some() && verb != body_verb {
+        return Err(ProtocolError::Malformed(format!("{verb} does not take a body")));
+    }
+    Ok((verb, words.collect(), body))
+}
+
+/// Parse a `u32` argument named `what`.
+fn parse_u32(what: &str, s: &str) -> Result<u32, ProtocolError> {
+    s.parse().map_err(|_| ProtocolError::Malformed(format!("{what} `{s}` is not a u32")))
+}
+
+/// `Malformed` unless `verb` carries exactly `n` arguments (`noun`s).
+fn check_arity(verb: &str, args: &[&str], n: usize, noun: &str) -> Result<(), ProtocolError> {
+    if args.len() == n {
+        return Ok(());
+    }
+    Err(ProtocolError::Malformed(format!("{verb} takes {n} {noun}(s), got {}", args.len())))
+}
+
 /// A client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Negotiate the protocol version (optional; any connection state).
+    /// Check the protocol version (optional; any connection state).
     Hello {
-        /// Highest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u32,
     },
     /// Compile a scenario script and attach its shared basis store.
@@ -222,7 +248,7 @@ pub enum Request {
         col: usize,
     },
     /// Stream the anytime bound for one (point, column) until it is at
-    /// most `eps` wide or the sample budget runs out (protocol v2+).
+    /// most `eps` wide or the sample budget runs out.
     Subscribe {
         /// Parameter-space point index.
         point: usize,
@@ -249,7 +275,7 @@ pub enum Request {
         /// Snapshot name (restricted charset; no paths).
         name: String,
     },
-    /// Process-wide metrics snapshot in Prometheus text format (v3+).
+    /// Process-wide metrics snapshot in Prometheus text format.
     Metrics,
     /// Close the connection.
     Quit,
@@ -264,9 +290,26 @@ pub fn valid_snapshot_name(name: &str) -> bool {
         && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
 
+/// Every request verb, in grammar order: the values [`Request::verb`]
+/// returns, and the label space of the server's per-verb instruments.
+pub const VERBS: [&str; 12] = [
+    "HELLO",
+    "COMPILE",
+    "SWEEP",
+    "FOCUS",
+    "ESTIMATE",
+    "SUBSCRIBE",
+    "TICK",
+    "STATS",
+    "SAVE",
+    "LOAD",
+    "METRICS",
+    "QUIT",
+];
+
 impl Request {
-    /// The wire verb, as a static string usable as a metric label
-    /// (`jigsaw_requests_total{verb="ESTIMATE"}`).
+    /// The wire verb (one of [`VERBS`]), as a static string usable as a
+    /// metric label (`jigsaw_requests_total{verb="ESTIMATE"}`).
     pub fn verb(&self) -> &'static str {
         match self {
             Request::Hello { .. } => "HELLO",
@@ -306,35 +349,15 @@ impl Request {
 
     /// Parse a frame payload.
     pub fn decode(payload: &str) -> Result<Request, ProtocolError> {
-        let (line, body) = match payload.split_once('\n') {
-            Some((line, body)) => (line, Some(body)),
-            None => (payload, None),
-        };
-        let mut words = line.split(' ');
-        let verb = words.next().unwrap_or("");
-        let args: Vec<&str> = words.collect();
-        let arity = |n: usize| -> Result<(), ProtocolError> {
-            if args.len() == n {
-                Ok(())
-            } else {
-                Err(ProtocolError::Malformed(format!(
-                    "{verb} takes {n} argument(s), got {}",
-                    args.len()
-                )))
-            }
-        };
+        let (verb, args, body) = split_payload(payload, "COMPILE")?;
+        let arity = |n: usize| check_arity(verb, &args, n, "argument");
         let parse_num = |what: &str, s: &str| -> Result<usize, ProtocolError> {
             s.parse().map_err(|_| ProtocolError::Malformed(format!("{what} `{s}` is not a number")))
         };
-        if body.is_some() && verb != "COMPILE" {
-            return Err(ProtocolError::Malformed(format!("{verb} does not take a body")));
-        }
         match verb {
             "HELLO" => {
                 arity(1)?;
-                let version = args[0].parse::<u32>().map_err(|_| {
-                    ProtocolError::Malformed(format!("version `{}` is not a u32", args[0]))
-                })?;
+                let version = parse_u32("version", args[0])?;
                 Ok(Request::Hello { version })
             }
             "COMPILE" => {
@@ -375,9 +398,7 @@ impl Request {
             }
             "TICK" => {
                 arity(1)?;
-                let count = args[0].parse::<u32>().map_err(|_| {
-                    ProtocolError::Malformed(format!("count `{}` is not a u32", args[0]))
-                })?;
+                let count = parse_u32("count", args[0])?;
                 Ok(Request::Tick { count })
             }
             "STATS" => arity(0).map(|()| Request::Stats),
@@ -422,7 +443,8 @@ pub enum ErrorCode {
     Exec,
     /// Snapshot save/load failed.
     Snapshot,
-    /// The server is not configured for the operation.
+    /// The server is not configured for the operation, or does not speak
+    /// the client's protocol version.
     Unsupported,
 }
 
@@ -439,15 +461,10 @@ impl ErrorCode {
     }
 
     fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "malformed" => ErrorCode::Malformed,
-            "state" => ErrorCode::State,
-            "compile" => ErrorCode::Compile,
-            "exec" => ErrorCode::Exec,
-            "snapshot" => ErrorCode::Snapshot,
-            "unsupported" => ErrorCode::Unsupported,
-            _ => return None,
-        })
+        use ErrorCode::*;
+        [Malformed, State, Compile, Exec, Snapshot, Unsupported]
+            .into_iter()
+            .find(|c| c.as_str() == s)
     }
 }
 
@@ -456,10 +473,9 @@ impl ErrorCode {
 /// be byte-diffed against goldens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Handshake accepted; carries the negotiated version
-    /// (`min(client, server)`).
+    /// Handshake accepted: the client speaks this server's version.
     Welcome {
-        /// The protocol version both sides hold to from here on.
+        /// [`PROTOCOL_VERSION`].
         version: u32,
     },
     /// Scenario compiled; session attached to the shared store.
@@ -504,12 +520,12 @@ pub enum Response {
         expectation_bits: u64,
         /// `f64::to_bits` of the standard deviation.
         std_dev_bits: u64,
-        /// `f64::to_bits` of the anytime bound's lower edge (v2+).
+        /// `f64::to_bits` of the anytime bound's lower edge.
         lo_bits: u64,
-        /// `f64::to_bits` of the anytime bound's upper edge (v2+).
+        /// `f64::to_bits` of the anytime bound's upper edge.
         hi_bits: u64,
     },
-    /// One step of a `SUBSCRIBE` stream: the current anytime bound (v2+).
+    /// One step of a `SUBSCRIBE` stream: the current anytime bound.
     Interval {
         /// Point index.
         point: usize,
@@ -557,7 +573,7 @@ pub enum Response {
         /// Basis count per column after the load.
         bases: Vec<usize>,
     },
-    /// Process-wide metrics snapshot (v3+). The one non-deterministic
+    /// Process-wide metrics snapshot. The one non-deterministic
     /// response: wall-clock latency histograms and traffic counters.
     Metrics {
         /// The snapshot in Prometheus text exposition format (the body
@@ -660,39 +676,15 @@ impl Response {
 
     /// Parse a frame payload.
     pub fn decode(payload: &str) -> Result<Response, ProtocolError> {
-        let (line, body) = match payload.split_once('\n') {
-            Some((line, body)) => (line, Some(body)),
-            None => (payload, None),
-        };
-        let mut words = line.split(' ');
-        let verb = words.next().unwrap_or("");
-        let args: Vec<&str> = match verb {
-            // ERR keeps its trailing message verbatim (it may contain spaces).
-            "ERR" => Vec::new(),
-            _ => words.collect(),
-        };
-        let arity = |n: usize| -> Result<(), ProtocolError> {
-            if args.len() == n {
-                Ok(())
-            } else {
-                Err(ProtocolError::Malformed(format!(
-                    "{verb} takes {n} field(s), got {}",
-                    args.len()
-                )))
-            }
-        };
+        let (verb, args, body) = split_payload(payload, "METRICS")?;
+        let arity = |n: usize| check_arity(verb, &args, n, "field");
         let num = |what: &str, s: &str| -> Result<u64, ProtocolError> {
             s.parse().map_err(|_| ProtocolError::Malformed(format!("{what} `{s}` is not a number")))
         };
-        if body.is_some() && verb != "METRICS" {
-            return Err(ProtocolError::Malformed(format!("{verb} does not take a body")));
-        }
         match verb {
             "WELCOME" => {
                 arity(1)?;
-                let version = args[0].parse::<u32>().map_err(|_| {
-                    ProtocolError::Malformed(format!("version `{}` is not a u32", args[0]))
-                })?;
+                let version = parse_u32("version", args[0])?;
                 Ok(Response::Welcome { version })
             }
             "COMPILED" => {
@@ -759,9 +751,7 @@ impl Response {
             }
             "TICKED" => {
                 arity(2)?;
-                let ticks = args[0].parse::<u32>().map_err(|_| {
-                    ProtocolError::Malformed(format!("ticks `{}` is not a u32", args[0]))
-                })?;
+                let ticks = parse_u32("ticks", args[0])?;
                 Ok(Response::Ticked { ticks, worlds: num("worlds", args[1])? })
             }
             "STATS" => {
@@ -792,10 +782,7 @@ impl Response {
                     None => Err(ProtocolError::Malformed("METRICS requires a text body".into())),
                 }
             }
-            "BYE" => {
-                arity(0)?;
-                Ok(Response::Bye)
-            }
+            "BYE" => arity(0).map(|()| Response::Bye),
             "ERR" => {
                 let rest = payload.strip_prefix("ERR ").ok_or_else(|| {
                     ProtocolError::Malformed("ERR needs a code and message".into())
@@ -816,19 +803,6 @@ impl Response {
 /// Send a request as one frame.
 pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), ProtocolError> {
     write_frame(w, &req.encode())
-}
-
-/// Send a response as one frame.
-pub fn send_response(w: &mut impl Write, resp: &Response) -> Result<(), ProtocolError> {
-    write_frame(w, &resp.encode())
-}
-
-/// Receive one request; `Ok(None)` is a clean disconnect.
-pub fn recv_request(r: &mut impl Read) -> Result<Option<Request>, ProtocolError> {
-    match read_frame(r)? {
-        Some(payload) => Request::decode(&payload).map(Some),
-        None => Ok(None),
-    }
 }
 
 /// Receive one response; `Ok(None)` is a clean disconnect.
@@ -917,9 +891,34 @@ mod tests {
         assert_eq!(welcome.encode(), "WELCOME 1");
         assert_eq!(Response::decode("WELCOME 1").unwrap(), welcome);
         assert!(Response::decode("WELCOME").is_err());
-        // A far-future client still roundtrips (the server clamps later).
+        // Any version roundtrips; the server, not the codec, refuses it.
         let eager = Request::Hello { version: u32::MAX };
         assert_eq!(Request::decode(&eager.encode()).unwrap(), eager);
+    }
+
+    #[test]
+    fn verb_list_is_the_request_verb_set() {
+        let one_of_each = [
+            Request::Hello { version: PROTOCOL_VERSION },
+            Request::Compile { src: "SELECT D(@x) AS d INTO r;".into() },
+            Request::Sweep,
+            Request::Focus { point: 1 },
+            Request::Estimate { point: 1, col: 0 },
+            Request::Subscribe { point: 1, col: 0, eps_bits: 0.5f64.to_bits() },
+            Request::Tick { count: 1 },
+            Request::Stats,
+            Request::Save { name: "a".into() },
+            Request::Load { name: "a".into() },
+            Request::Metrics,
+            Request::Quit,
+        ];
+        // Every variant's verb is listed, once and in grammar order, and
+        // every listed verb decodes as itself.
+        assert_eq!(one_of_each.len(), VERBS.len());
+        for (req, verb) in one_of_each.iter().zip(VERBS) {
+            assert_eq!(req.verb(), verb);
+            assert_eq!(Request::decode(&req.encode()).unwrap().verb(), verb);
+        }
     }
 
     #[test]
@@ -965,7 +964,7 @@ mod tests {
         assert!(Response::decode("EST 9 0 210 basis xyz 0 0 0").is_err());
         assert!(
             Response::decode("EST 9 0 210 basis 4024000000000000 3ff8000000000000").is_err(),
-            "the v1 six-field EST is no longer a valid frame"
+            "a six-field EST is not a valid frame"
         );
         assert!(Response::decode("COMPILED 10 2 one").is_err(), "column count must match");
         assert!(Response::decode("BONKERS").is_err());

@@ -1,13 +1,13 @@
-//! Acceptance for the protocol-v3 `METRICS` surface (ISSUE 10): after a
-//! warm two-sweep session, a `METRICS` scrape returns valid Prometheus
-//! text whose counters line up with the traffic that produced it — every
-//! per-verb latency histogram's `_count` equals its request counter, the
-//! sweep warm-hit counters are non-zero, and session warm hits never
-//! exceed touches. A v2 client asking for `METRICS` draws a typed
-//! `ERR unsupported` and keeps its connection; re-negotiating to v3 on the
-//! same connection unlocks the verb. The per-verb equality also holds in a
-//! scrape taken *while* a `SWEEP` is in flight on another connection: a
-//! verb enters both series together, when its response is ready.
+//! Acceptance for the `METRICS` surface: after a warm two-sweep session, a
+//! `METRICS` scrape returns valid Prometheus text whose counters line up
+//! with the traffic that produced it — every per-verb latency histogram's
+//! `_count` equals its request counter, the sweep warm-hit counters are
+//! non-zero, and session warm hits never exceed touches. A client that
+//! never says `HELLO` is served `METRICS` (and `SUBSCRIBE`) all the same; a
+//! `HELLO` of another protocol version draws a typed `ERR unsupported` and
+//! keeps its connection. The per-verb equality also holds in a scrape taken
+//! *while* a `SWEEP` is in flight on another connection: a verb enters both
+//! series together, when its response is ready.
 //!
 //! The servers here run in-process, so the scrape sees this process's
 //! global registry. Tests serialize on one lock: metrics are process-wide
@@ -16,10 +16,12 @@
 
 mod support;
 
+use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
 
 use support::{gated_catalog, series, Gate, GATED_SRC};
 
+use jigsaw::server::protocol::{read_frame, recv_response, send_request, write_frame};
 use jigsaw::server::{
     Client, ErrorCode, JigsawServer, Request, Response, ServerHandle, PROTOCOL_VERSION,
 };
@@ -78,8 +80,8 @@ fn assert_per_verb_counts_agree(text: &str) -> usize {
 fn warm_session_scrape_reports_consistent_counters() {
     let _g = guard();
     let handle = serve();
+    // `connect` succeeds only if the server welcomes this protocol version.
     let mut c = Client::connect(handle.local_addr()).expect("connect");
-    assert_eq!(c.negotiated_version(), PROTOCOL_VERSION);
 
     // METRICS needs no COMPILE: it is process-scoped, not session-scoped.
     // Counters are process-global and other tests in this binary may have
@@ -199,32 +201,90 @@ fn scrape_during_a_sweep_in_flight_keeps_the_count_invariant() {
     handle.shutdown().expect("shutdown");
 }
 
+/// One request over a bare socket, answered by one frame.
+fn ask(stream: &mut TcpStream, req: &Request) -> Response {
+    send_request(stream, req).expect("send");
+    recv_response(stream).expect("framed reply").expect("reply before EOF")
+}
+
+/// A client that never says `HELLO` is served every verb: `SUBSCRIBE`
+/// streams and `METRICS` answers its body.
 #[test]
-fn metrics_is_version_gated_and_renegotiable() {
+fn a_client_without_hello_gets_every_verb() {
     let _g = guard();
     let handle = serve();
-    let mut c = Client::connect(handle.local_addr()).expect("connect");
-    // Drop back to v2 on the same connection (HELLO is stateless).
-    match c.request(&Request::Hello { version: 2 }).expect("renegotiate down") {
-        Response::Welcome { version } => assert_eq!(version, 2),
-        other => panic!("unexpected {other:?}"),
-    }
-    match c.request(&Request::Metrics).expect("v2 METRICS answers") {
-        Response::Error { code, message } => {
-            assert_eq!(code, ErrorCode::Unsupported);
-            assert!(message.contains("version 3"), "{message}");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    assert!(matches!(
+        ask(&mut stream, &Request::Compile { src: SRC.into() }),
+        Response::Compiled { .. }
+    ));
+    send_request(&mut stream, &Request::Subscribe { point: 9, col: 0, eps_bits: 0.5f64.to_bits() })
+        .expect("send");
+    let mut intervals = 0;
+    loop {
+        match recv_response(&mut stream).expect("framed reply").expect("reply before EOF") {
+            Response::Interval { .. } => intervals += 1,
+            Response::Estimated { point: 9, col: 0, .. } => break,
+            other => panic!("unexpected stream frame {other:?}"),
         }
-        other => panic!("v2 METRICS must be refused, got {other:?}"),
     }
-    // The connection survived the refusal; renegotiating to v3 unlocks it.
-    match c.request(&Request::Hello { version: PROTOCOL_VERSION }).expect("renegotiate up") {
-        Response::Welcome { version } => assert_eq!(version, PROTOCOL_VERSION),
-        other => panic!("unexpected {other:?}"),
+    assert!(intervals >= 1, "the tier-0 bound is streamed first");
+    match ask(&mut stream, &Request::Metrics) {
+        Response::Metrics { text } => {
+            let subscribes = series(&text, "jigsaw_requests_total{verb=\"SUBSCRIBE\"}");
+            assert!(subscribes >= Some(1), "{text}");
+        }
+        other => panic!("expected a METRICS payload, got {other:?}"),
     }
-    let text = scrape(&mut c);
-    assert!(text.contains("jigsaw_requests_total{verb=\"METRICS\"}"), "{text}");
-    assert_eq!(c.request(&Request::Quit).expect("quit"), Response::Bye);
     handle.shutdown().expect("shutdown");
+}
+
+/// `HELLO` with any version but this server's is refused, naming both
+/// versions, and the connection keeps serving.
+#[test]
+fn hello_with_another_version_is_refused_and_the_connection_keeps_serving() {
+    let _g = guard();
+    let handle = serve();
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    assert!(matches!(
+        ask(&mut stream, &Request::Compile { src: SRC.into() }),
+        Response::Compiled { .. }
+    ));
+    for version in [1, PROTOCOL_VERSION + 1] {
+        match ask(&mut stream, &Request::Hello { version }) {
+            Response::Error { code: ErrorCode::Unsupported, message } => {
+                assert!(message.contains(&format!("version {version}")), "{message}");
+                assert!(message.contains(&format!("version {PROTOCOL_VERSION}")), "{message}");
+            }
+            other => panic!("HELLO {version} must be refused, got {other:?}"),
+        }
+        let served = ask(&mut stream, &Request::Estimate { point: 3, col: 0 });
+        assert!(matches!(served, Response::Estimated { point: 3, .. }), "{served:?}");
+    }
+    assert_eq!(
+        ask(&mut stream, &Request::Hello { version: PROTOCOL_VERSION }),
+        Response::Welcome { version: PROTOCOL_VERSION }
+    );
+    handle.shutdown().expect("shutdown");
+}
+
+/// [`Client::connect`] is the client's half of the check: a server that
+/// welcomes another version is an `InvalidData` error, not a client.
+#[test]
+fn connect_refuses_a_server_of_another_version() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = std::thread::spawn(move || {
+        let (mut peer, _) = listener.accept().expect("accept");
+        read_frame(&mut peer).expect("HELLO frame");
+        write_frame(&mut peer, &Response::Welcome { version: PROTOCOL_VERSION - 1 }.encode())
+            .expect("reply");
+    });
+    match Client::connect(addr) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+        Ok(_) => panic!("connect accepted WELCOME {}", PROTOCOL_VERSION - 1),
+    }
+    server.join().expect("fake server");
 }
 
 /// Tracing fully on (ring-only, so the test log stays readable) must not
