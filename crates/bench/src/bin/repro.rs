@@ -29,10 +29,14 @@
 //! Sketch pruning is a pure function of (config, seed), so deterministic
 //! sketch runs are byte-identical across thread budgets — the CI smoke job
 //! diffs a `--sketch --threads 1` run against a `--threads 4` one.
+//!
+//! Retired experiment numbers are not reused, and naming one with `--exp`
+//! selects nothing. Metric and span costs are not an experiment: the repo
+//! benchmark's `obs.*` and `trace.overhead_pct` probes price them.
 
 use std::path::PathBuf;
 
-use jigsaw_bench::experiments::{e1, e10, e12, e13, e14, e2, e3, e4, e5, e6, e7, e8, e9};
+use jigsaw_bench::experiments::{e1, e10, e12, e13, e2, e3, e4, e5, e6, e7, e8, e9};
 use jigsaw_bench::{Scale, Table};
 
 fn main() {
@@ -166,10 +170,6 @@ fn main() {
     if want("e13") {
         eprintln!("[repro] E13: anytime SUBSCRIBE estimates with error bounds…");
         println!("{}", render(&e13::report(&e13::run(scale))));
-    }
-    if want("e14") {
-        eprintln!("[repro] E14: observability overhead, instruments enabled vs disabled…");
-        println!("{}", render(&e14::report(&e14::run(scale))));
     }
     eprintln!("[repro] done.");
 }

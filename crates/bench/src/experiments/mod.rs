@@ -4,7 +4,6 @@ pub mod e1;
 pub mod e10;
 pub mod e12;
 pub mod e13;
-pub mod e14;
 pub mod e2;
 pub mod e3;
 pub mod e4;

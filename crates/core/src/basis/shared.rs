@@ -76,19 +76,6 @@ fn store_obs() -> &'static StoreObs {
     })
 }
 
-/// Refresh the per-column committed-basis gauges from `store`. Called on
-/// the tail of every mutating access; aggregated over all shared stores in
-/// the process (per-scenario splits live in the `STATS`/`SWEPT` frames).
-fn publish_bases(store: &ShardedBasisStore) {
-    if !jigsaw_obs::enabled() {
-        return;
-    }
-    let g = jigsaw_obs::global();
-    for (c, n) in store.bases_per_column().into_iter().enumerate() {
-        g.gauge("jigsaw_store_bases", &[("col", &c.to_string())]).set(n as i64);
-    }
-}
-
 /// Interior of a [`SharedBasisStore`].
 struct Inner {
     store: RwLock<ShardedBasisStore>,
@@ -184,9 +171,7 @@ impl SharedBasisStore {
         f: impl FnOnce(u64, &mut ShardedBasisStore) -> R,
     ) -> R {
         let mut store = self.write();
-        let out = f(self.generation(), &mut store);
-        publish_bases(&store);
-        out
+        f(self.generation(), &mut store)
     }
 
     /// Run `f` with exclusive (write-locked) access to the store. Session
@@ -194,10 +179,7 @@ impl SharedBasisStore {
     /// outside the closure; a full sweep deliberately runs inside it — see
     /// the module docs on why that serialization is load-bearing.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut ShardedBasisStore) -> R) -> R {
-        let mut store = self.write();
-        let out = f(&mut store);
-        publish_bases(&store);
-        out
+        f(&mut self.write())
     }
 
     /// Replace the store wholesale (snapshot `LOAD`), returning the previous
@@ -210,7 +192,6 @@ impl SharedBasisStore {
         let generation = self.inner.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let old = std::mem::replace(&mut *current, store);
         store_obs().replacements.inc();
-        publish_bases(&current);
         jigsaw_obs::event!("store.replace", generation = generation);
         old
     }

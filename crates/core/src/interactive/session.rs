@@ -32,45 +32,29 @@ pub struct SessionConfig {
     pub tolerance: f64,
     /// Cap on samples per point (refinement stops there).
     pub n_target: usize,
-    /// Thread budget for world evaluation. Ticks go through the same
-    /// budgeted [`jigsaw_pdb::eval_batch`] entry point as the sweep
-    /// executor, so refinement batches parallelize with bit-identical
-    /// results for any value (`0` = all cores).
-    pub threads: usize,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig {
-            batch: 10,
-            fingerprint_len: 10,
-            tolerance: 1e-9,
-            n_target: 1000,
-            threads: 1,
-        }
+        SessionConfig { batch: 10, fingerprint_len: 10, tolerance: 1e-9, n_target: 1000 }
     }
 }
 
 impl SessionConfig {
-    /// Override the thread budget.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Derive a session configuration compatible with a sweep
     /// configuration: same fingerprint length and tolerance (so the
     /// session's fingerprints match bases a sweep built), `n_target` capped
     /// at the sweep's sample count (so refining a point never outgrows —
-    /// and therefore never mutates — a sweep-built basis), and the same
-    /// thread budget. The session server attaches every client this way.
+    /// and therefore never mutates — a sweep-built basis). The session
+    /// server attaches every client this way. A session evaluates its
+    /// windows (`fingerprint_len` or `batch` worlds) on the calling thread;
+    /// the sweep's thread budget is not consulted.
     pub fn from_jigsaw(cfg: &JigsawConfig) -> Self {
         SessionConfig {
             batch: 10,
             fingerprint_len: cfg.fingerprint_len,
             tolerance: cfg.tolerance,
             n_target: cfg.n_samples,
-            threads: cfg.threads,
         }
     }
 }
@@ -420,8 +404,7 @@ impl InteractiveSession {
         let point = self.sim.space().point_at(point_idx);
         // Monte Carlo work happens outside the store lock; only the
         // resolve/insert bookkeeping below holds it.
-        let head =
-            jigsaw_pdb::eval_batch(&*self.sim, &point, 0, m, self.cfg.threads)?.into_columns();
+        let head = jigsaw_pdb::eval_window(&*self.sim, &point, 0, m)?.into_columns();
         self.worlds_evaluated += m as u64;
         for (c, samples) in head.iter().enumerate() {
             crate::fingerprint::check_finite(samples, point_idx, c)?;
@@ -490,7 +473,7 @@ impl InteractiveSession {
         // mutate — a basis that a sweep built with exactly `n_target`
         // samples (the invariant [`SessionConfig::from_jigsaw`] documents).
         let batch = self.cfg.batch.min(self.cfg.n_target - start);
-        let out = jigsaw_pdb::eval_batch(&*self.sim, &point, start, batch, self.cfg.threads)?;
+        let out = jigsaw_pdb::eval_window(&*self.sim, &point, start, batch)?;
         self.worlds_evaluated += batch as u64;
         let own = &mut self.own;
         let points = &mut self.points;
@@ -817,33 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_does_not_change_estimates() {
-        let s = sim();
-        let mut seq = InteractiveSession::new(s.clone(), SessionConfig::default());
-        let mut par = InteractiveSession::new(s.clone(), SessionConfig::default().with_threads(4));
-        for session in [&mut seq, &mut par] {
-            session.set_focus(9);
-            for _ in 0..20 {
-                session.tick().unwrap();
-            }
-        }
-        assert_eq!(seq.worlds_evaluated, par.worlds_evaluated);
-        assert_eq!(seq.basis_counts(), par.basis_counts());
-        for p in [8usize, 9, 10] {
-            match (seq.estimate(p, 0), par.estimate(p, 0)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.expectation, b.expectation, "point {p}");
-                    assert_eq!(a.std_dev, b.std_dev, "point {p}");
-                    assert_eq!(a.n_samples, b.n_samples, "point {p}");
-                    assert_eq!(a.source, b.source, "point {p}");
-                }
-                (a, b) => panic!("point {p}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn warm_store_skips_the_cold_ramp() {
         let s = sim();
         // Warm up a session, export its store, and start a new one from it.
@@ -1136,16 +1092,12 @@ mod tests {
 
     #[test]
     fn session_config_derives_from_jigsaw_config() {
-        let jcfg = JigsawConfig::paper()
-            .with_fingerprint_len(12)
-            .with_n_samples(300)
-            .with_tolerance(1e-7)
-            .with_threads(4);
+        let jcfg =
+            JigsawConfig::paper().with_fingerprint_len(12).with_n_samples(300).with_tolerance(1e-7);
         let scfg = SessionConfig::from_jigsaw(&jcfg);
         assert_eq!(scfg.fingerprint_len, 12);
         assert_eq!(scfg.n_target, 300);
         assert_eq!(scfg.tolerance, 1e-7);
-        assert_eq!(scfg.threads, 4);
         assert_eq!(scfg.batch, SessionConfig::default().batch);
     }
 

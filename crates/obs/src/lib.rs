@@ -23,17 +23,18 @@
 //!
 //! Everything here is observational: no instrument or span feeds back into
 //! any computation, so sweep results, estimates, and wire transcripts are
-//! byte-identical whether observability is enabled, disabled, or tracing to
-//! stderr. CI enforces this with twin-run diffs under `JIGSAW_TRACE=1`.
+//! byte-identical whether spans are off, kept in the ring, or traced to
+//! stderr. Metrics always record. CI enforces this with twin-run diffs
+//! under `JIGSAW_TRACE=1`; `tests/parallel_determinism.rs` and
+//! `tests/server_metrics.rs` pin it for sweeps and wire transcripts.
 //!
 //! # Cost model
 //!
-//! A disabled instrument (after [`set_enabled`]`(false)`) costs one relaxed
-//! atomic load and a branch; an enabled counter one `fetch_add`; an enabled
-//! histogram three. A span whose sinks are off costs one relaxed load — the
-//! field values are never formatted. Experiment E14 in `crates/bench` gates
-//! the end-to-end overhead of the enabled instruments at under 2% against
-//! this disabled baseline.
+//! A counter or gauge update is one relaxed atomic op; a histogram record
+//! three. A span whose sinks are off costs one relaxed load — the field
+//! values are never formatted. The repo benchmark prices these directly:
+//! `obs.counter_inc_ns`, `obs.hist_record_ns` and `obs.metrics_scrape_us`
+//! per update and per scrape, `trace.overhead_pct` for tracing end to end.
 //!
 //! ```
 //! use jigsaw_obs::{global, span};
@@ -63,21 +64,6 @@ pub use trace::{
 };
 
 use std::sync::OnceLock;
-
-/// Enable or disable all recording through the [`global`] registry's
-/// instruments. Disabled instruments keep their handles and current
-/// values; updates become a single relaxed load + branch. This is the
-/// "compiled to no-ops" baseline E14 measures overhead against, without
-/// needing two binaries. Registries made with [`Registry::new`] have
-/// their own independent switch ([`Registry::set_enabled`]).
-pub fn set_enabled(on: bool) {
-    global().set_enabled(on);
-}
-
-/// Whether recording through the [`global`] registry is enabled.
-pub fn enabled() -> bool {
-    global().enabled()
-}
 
 /// The process-global registry: every layer (executor, pool, basis store,
 /// session, server) registers its instruments here so one

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -26,12 +26,11 @@ fn key(name: &str, labels: &[(&str, &str)]) -> Key {
     (name.to_string(), l)
 }
 
-/// A monotonically increasing counter. Updates are a relaxed `fetch_add`
-/// when the owning registry is enabled, a load + branch when disabled.
+/// A monotonically increasing counter. Each update is one relaxed
+/// `fetch_add`.
 #[derive(Debug, Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Counter {
@@ -44,9 +43,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -60,24 +57,19 @@ impl Counter {
 #[derive(Debug, Clone)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Gauge {
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Add `n` (use a negative `n` to decrement).
     #[inline]
     pub fn add(&self, n: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -91,16 +83,13 @@ impl Gauge {
 #[derive(Debug, Clone)]
 pub struct Histogram {
     cell: Arc<HistCore>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.record(value);
-        }
+        self.cell.record(value);
     }
 
     /// Record a duration in microseconds (saturating at `u64::MAX`).
@@ -124,50 +113,27 @@ struct Inner {
 
 /// A set of named instruments. Most code uses the process-wide
 /// [`crate::global`] registry; tests can make private ones.
+#[derive(Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
-    enabled: Arc<AtomicBool>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
 }
 
 impl Registry {
-    /// An empty, enabled registry.
+    /// An empty registry.
     pub fn new() -> Registry {
-        Registry { inner: Mutex::new(Inner::default()), enabled: Arc::new(AtomicBool::new(true)) }
-    }
-
-    /// Enable or disable recording through every instrument handed out by
-    /// this registry (existing handles included — they share the switch).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether this registry's instruments currently record.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        Registry::default()
     }
 
     /// Get or create the counter `name{labels}`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let mut inner = self.inner.lock().unwrap();
-        Counter {
-            cell: Arc::clone(inner.counters.entry(key(name, labels)).or_default()),
-            enabled: Arc::clone(&self.enabled),
-        }
+        Counter { cell: Arc::clone(inner.counters.entry(key(name, labels)).or_default()) }
     }
 
     /// Get or create the gauge `name{labels}`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let mut inner = self.inner.lock().unwrap();
-        Gauge {
-            cell: Arc::clone(inner.gauges.entry(key(name, labels)).or_default()),
-            enabled: Arc::clone(&self.enabled),
-        }
+        Gauge { cell: Arc::clone(inner.gauges.entry(key(name, labels)).or_default()) }
     }
 
     /// Get or create the histogram `name{labels}`.
@@ -180,7 +146,6 @@ impl Registry {
                     .entry(key(name, labels))
                     .or_insert_with(|| Arc::new(HistCore::new())),
             ),
-            enabled: Arc::clone(&self.enabled),
         }
     }
 
@@ -377,22 +342,6 @@ mod tests {
         r.counter("c_total", &[("q", "a\"b\\c\nd")]).inc();
         let text = r.snapshot().render_prometheus();
         assert!(text.contains("c_total{q=\"a\\\"b\\\\c\\nd\"} 1"));
-    }
-
-    #[test]
-    fn disabled_instruments_stop_recording() {
-        let r = Registry::new();
-        let c = r.counter("toggling_total", &[]);
-        let h = r.histogram("toggling_us", &[]);
-        c.inc();
-        h.record(9);
-        r.set_enabled(false);
-        c.inc();
-        h.record(9);
-        r.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 2);
-        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]

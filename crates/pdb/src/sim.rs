@@ -27,10 +27,11 @@ use crate::plan::BoundPlan;
 /// A parameterized Monte Carlo simulation with named scalar outputs.
 ///
 /// Implementations provide the *sequential* window evaluation only; callers
-/// that hold a thread budget go through [`crate::worlds::eval_batch`] (or
-/// the per-world [`crate::worlds::eval_worlds`] oracle), which splits the
-/// window across scoped threads and stitches the results back
-/// bit-identically (worlds are seed-addressed, so sub-windows compose).
+/// that spend a thread budget schedule windows on a worker pool (or go
+/// through [`crate::worlds::eval_batch_on`] / the per-world
+/// [`crate::worlds::eval_worlds`] oracle, which split a window across
+/// scoped threads and stitch the results back bit-identically — worlds are
+/// seed-addressed, so sub-windows compose).
 pub trait Simulation: Send + Sync {
     /// Names of the output columns.
     fn columns(&self) -> &[String];

@@ -1,5 +1,5 @@
-//! Parallel possible-world evaluation — the single entry point every layer
-//! above uses to spend a thread budget on Monte Carlo work.
+//! Possible-world evaluation: the per-window unit production schedules,
+//! and the thread-splitting reference paths that check it.
 //!
 //! Monte Carlo worlds are embarrassingly parallel: world `k`'s randomness is
 //! fully determined by `σ_k`, so partitioning the world range across threads
@@ -7,11 +7,15 @@
 //! mirrors MCDB's parallel world evaluation (paper §2.1: "queries are run on
 //! each sampled world in parallel").
 //!
-//! Two entry points share the splitting/stitching machinery:
+//! Production evaluates one window at a time through [`eval_window`], on the
+//! columnar kernels of [`Simulation::eval_batch`]: sweeps spend their thread
+//! budget by scheduling such windows on `jigsaw-core`'s worker pool, and
+//! interactive sessions evaluate their small windows on the calling thread.
+//! Two thread-splitting entry points remain for comparisons:
 //!
-//! * [`eval_batch`] — the production path. Evaluates a window into a
-//!   columnar [`WorldBatch`] through [`Simulation::eval_batch`], whose
-//!   engines fill contiguous `f64` columns with slice kernels.
+//! * [`eval_batch_on`] — a window on an explicit [`EvalPath`], split across
+//!   up to `threads` scoped threads; probes and property tests drive both
+//!   paths through it.
 //! * [`eval_worlds`] — the per-world oracle ([`Simulation::eval_worlds`]),
 //!   kept as the reference implementation and for callers that want the
 //!   `out[col][world]` shape. The columnar kernels perform the same
@@ -103,8 +107,11 @@ pub fn eval_window(
     catch_panics(|| sim.eval_batch(point, start, count))
 }
 
-/// [`eval_batch`] with an explicit path — the handle probes and property
+/// Evaluate `sim` at `point` over worlds `[start, start+count)` into a
+/// columnar [`WorldBatch`] on an explicit path, using up to `threads` OS
+/// threads (`0` = all available cores) — the handle probes and property
 /// tests use to compare both implementations inside one process.
+/// Bit-identical to the sequential path for every thread budget.
 pub fn eval_batch_on(
     sim: &dyn Simulation,
     point: &[f64],
@@ -145,20 +152,6 @@ pub fn eval_batch_on(
         out.extend(r?);
     }
     Ok(out)
-}
-
-/// Evaluate `sim` at `point` over worlds `[start, start+count)` into a
-/// columnar [`WorldBatch`], using up to `threads` OS threads (`0` = all
-/// available cores), on the columnar kernels. Bit-identical to the
-/// sequential path for every thread budget.
-pub fn eval_batch(
-    sim: &dyn Simulation,
-    point: &[f64],
-    start: usize,
-    count: usize,
-    threads: usize,
-) -> Result<WorldBatch> {
-    eval_batch_on(sim, point, start, count, threads, EvalPath::Columnar)
 }
 
 /// Evaluate `sim` at `point` over worlds `[start, start+count)` using up to

@@ -1,8 +1,8 @@
 //! Determinism under parallelism: the batch-synchronous executor must give
 //! bit-identical sweeps — points, metrics, `reused_from`, basis sets, and
-//! deterministic telemetry counters — for every thread budget, and the
-//! unified world-evaluation entry point must equal the serial path for
-//! awkward window splits.
+//! deterministic telemetry counters — for every thread budget and with
+//! tracing on or off, and the unified world-evaluation entry point must
+//! equal the serial path for awkward window splits.
 
 use std::sync::Arc;
 
@@ -103,4 +103,25 @@ fn naive_runner_identical_across_threads() {
         let r = SweepRunner::naive(cfg.clone().with_threads(threads)).run(&sim).unwrap();
         assert_bit_identical(&base, &r, &format!("naive threads={threads}"));
     }
+}
+
+#[test]
+fn tracing_does_not_change_a_sweep() {
+    let space = ParamSpace::new(vec![ParamDecl::range("p", 0, 39, 1)]);
+    let sim = BlackBoxSim::new(Arc::new(SynthBasis::new(4)), space, SeedSet::new(11));
+    let mut runner = SweepRunner::new(JigsawConfig::paper().with_n_samples(60).with_threads(2));
+    let quiet = runner.run(&sim).unwrap();
+    jigsaw::obs::set_trace_ring_only(true);
+    let traced = runner.run(&sim);
+    let spans = jigsaw::obs::recent_spans();
+    // Off, with the sink still off: a span another test opened while the
+    // ring was on must not reach stderr when it closes.
+    jigsaw::obs::set_trace_ring_only(false);
+    let traced = traced.unwrap();
+    assert_eq!(quiet.points, traced.points);
+    assert_eq!(quiet.stats.counters(), traced.stats.counters());
+    assert!(
+        spans.iter().any(|s| s.name == "wave.fingerprint"),
+        "the traced sweep leaves its wave spans in the ring"
+    );
 }
