@@ -144,14 +144,36 @@ impl PointColState {
     }
 
     /// Tighten the running bound with the raw interval of whichever source
-    /// [`Self::mapped`] picks, i.e. the one `estimate()` serves.
-    fn tighten(&mut self, shard: &BasisStore) {
-        let raw = match self.mapped(shard) {
+    /// [`Self::mapped`] picks, i.e. the one `estimate()` serves, and return
+    /// that pick.
+    fn tighten(&mut self, shard: &BasisStore) -> Option<OutputMetrics> {
+        let mapped = self.mapped(shard);
+        let raw = match &mapped {
             Some(mapped) => mapped.expectation_interval(BOUND_Z),
             None => self.metrics.expectation_interval(BOUND_Z),
         };
         if raw.is_some() {
             self.bound = Some(effective_bound(self.bound, raw));
+        }
+        mapped
+    }
+
+    /// The estimate served from `mapped` (see [`Self::mapped`]) or, when
+    /// that is `None`, from the direct samples.
+    fn estimate(&self, point_idx: usize, mapped: Option<OutputMetrics>) -> Estimate {
+        let (metrics, source) = match &mapped {
+            Some(mapped) => (mapped, EstimateSource::MappedBasis),
+            None => (&self.metrics, EstimateSource::Direct),
+        };
+        let (lo, hi) = effective_bound(self.bound, metrics.expectation_interval(BOUND_Z));
+        Estimate {
+            point_idx,
+            expectation: metrics.expectation(),
+            std_dev: metrics.std_dev(),
+            lo,
+            hi,
+            n_samples: metrics.n(),
+            source,
         }
     }
 }
@@ -181,6 +203,8 @@ fn effective_bound(stored: Option<(f64, f64)>, raw: Option<(f64, f64)>) -> (f64,
 
 /// State for one point across all output columns.
 struct PointState {
+    /// The point's parameter values, kept for its refinement batches.
+    point: Vec<f64>,
     cols: Vec<PointColState>,
 }
 
@@ -451,40 +475,40 @@ impl InteractiveSession {
             session_obs().warm_hits.inc();
         }
         session_obs().touches.inc();
-        self.points.insert(point_idx, PointState { cols });
+        self.points.insert(point_idx, PointState { point, cols });
         Ok(())
     }
 
     /// Generate `batch` fresh samples for a point and fold them into its
     /// direct metrics, its basis (through the inverse mapping, paper §5),
-    /// and the progressive fingerprint validation.
-    fn generate_batch(&mut self, point_idx: usize) -> Result<()> {
-        let point = self.sim.space().point_at(point_idx);
+    /// and the progressive fingerprint validation. Returns column
+    /// `report`'s estimate as of the fold, read under the same lock
+    /// acquisition, or `None` when the point is already at `n_target`.
+    fn generate_batch(&mut self, point_idx: usize, report: usize) -> Result<Option<Estimate>> {
         let tolerance = self.cfg.tolerance;
-        let start = {
-            let state = self.points.get(&point_idx).expect("touched");
-            state.cols.iter().map(|c| c.n_direct).min().unwrap_or(0)
-        };
+        let state = self.points.get(&point_idx).expect("touched");
+        let start = state.cols.iter().map(|c| c.n_direct).min().unwrap_or(0);
         if start >= self.cfg.n_target {
-            return Ok(());
+            return Ok(None);
         }
         // Clamp the last batch to the refinement ceiling: sample ids must
         // never pass `n_target`, or the fold-back below would extend — i.e.
         // mutate — a basis that a sweep built with exactly `n_target`
         // samples (the invariant [`SessionConfig::from_jigsaw`] documents).
         let batch = self.cfg.batch.min(self.cfg.n_target - start);
-        let out = jigsaw_pdb::eval_window(&*self.sim, &point, start, batch)?;
+        let out = jigsaw_pdb::eval_window(&*self.sim, &state.point, start, batch)?;
         self.worlds_evaluated += batch as u64;
         let own = &mut self.own;
         let points = &mut self.points;
         let seen = &mut self.seen_generation;
-        self.store.with_store_mut_versioned(|generation, stores| {
+        let served = self.store.with_store_mut_versioned(|generation, stores| {
             // The stale-link check and every id dereference below share one
             // lock acquisition: a concurrent store replacement can never
             // slip between them and let a stale id alias (and refine!) an
             // unrelated basis at the same index.
             Self::drop_stale_links(seen, generation, own, points);
             let state = points.get_mut(&point_idx).expect("touched");
+            let mut served = None;
             for (c, samples) in out.columns().iter().enumerate() {
                 let col = &mut state.cols[c];
                 col.metrics.extend(samples);
@@ -523,10 +547,14 @@ impl InteractiveSession {
                         col.basis = None;
                     }
                 }
-                col.tighten(stores.shard(c));
+                let mapped = col.tighten(stores.shard(c));
+                if c == report {
+                    served = Some(col.estimate(point_idx, mapped));
+                }
             }
+            served
         });
-        Ok(())
+        Ok(served)
     }
 
     /// Execute one event-loop iteration. Returns the task performed.
@@ -538,10 +566,7 @@ impl InteractiveSession {
             TaskKind::Exploration => self.explore_heuristic(),
         };
         self.touch(target)?;
-        match task {
-            TaskKind::Refinement | TaskKind::Exploration => self.generate_batch(target)?,
-            TaskKind::Validation => self.generate_batch(target)?,
-        }
+        self.generate_batch(target, 0)?;
         Ok(task)
     }
 
@@ -564,20 +589,7 @@ impl InteractiveSession {
                 }
             })
         });
-        let (metrics, source) = match &mapped {
-            Some(mapped) => (mapped, EstimateSource::MappedBasis),
-            None => (&c.metrics, EstimateSource::Direct),
-        };
-        let (lo, hi) = effective_bound(c.bound, metrics.expectation_interval(BOUND_Z));
-        Some(Estimate {
-            point_idx,
-            expectation: metrics.expectation(),
-            std_dev: metrics.std_dev(),
-            lo,
-            hi,
-            n_samples: metrics.n(),
-            source,
-        })
+        Some(c.estimate(point_idx, mapped))
     }
 
     /// Typed bounds check for client-supplied indices: long-lived hosts
@@ -632,12 +644,17 @@ impl InteractiveSession {
     pub fn refine_once(&mut self, point_idx: usize, col: usize) -> Result<Estimate> {
         let _span = jigsaw_obs::span!("session.refine", point = point_idx, col = col);
         self.check_range(point_idx, col)?;
-        if self.points.contains_key(&point_idx) {
-            self.generate_batch(point_idx)?;
+        let folded = if self.points.contains_key(&point_idx) {
+            self.generate_batch(point_idx, col)?
         } else {
             self.touch(point_idx)?;
-        }
-        let est = Self::wire_safe(self.estimate(point_idx, col).expect("point touched above"))?;
+            None
+        };
+        let est = match folded {
+            Some(est) => est,
+            None => self.estimate(point_idx, col).expect("point touched above"),
+        };
+        let est = Self::wire_safe(est)?;
         self.count_tier(point_idx, col);
         Ok(est)
     }

@@ -4,12 +4,11 @@ use std::collections::HashMap;
 
 use jigsaw_blackbox::Workload;
 
-use crate::bundle::{BundleCell, BundleRow, BundleTable, Presence};
+use crate::bundle::{BundleCell, BundleRow, Presence};
 use crate::catalog::Catalog;
 use crate::error::{PdbError, Result};
 use crate::expr::{BatchCtx, Expr};
 use crate::plan::{AggFunc, AggSpec, BoundPlan, Plan};
-use crate::schema::Schema;
 use crate::value::Value;
 
 use super::{Engine, ExecContext};
@@ -41,58 +40,44 @@ impl Engine for DbmsEngine {
         "dbms"
     }
 
-    fn execute(
+    // Nodes pass bare rows: expressions are bound by index, so only the
+    // plan's inferred schema (attached by [`Engine::execute`]) names the
+    // columns, and an execution builds no schema at all.
+    fn execute_rows(
         &self,
         plan: &BoundPlan,
         catalog: &Catalog,
-        ctx: &ExecContext,
-    ) -> Result<BundleTable> {
+        ctx: &ExecContext<'_>,
+    ) -> Result<Vec<BundleRow>> {
         self.setup_cost.burn();
-        let mut out = run(&plan.plan, catalog, ctx)?;
-        // Intermediate nodes carry nominal schemas (expressions are bound by
-        // index); the plan's inferred schema is authoritative at the root.
-        out.schema = plan.schema.clone();
-        Ok(out)
+        run(&plan.plan, catalog, ctx)
     }
 }
 
-fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable> {
+fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext<'_>) -> Result<Vec<BundleRow>> {
     match plan {
         Plan::Scan { table } => {
-            let t = catalog.table(table)?;
-            let mut out = BundleTable::new(t.schema().clone(), ctx.n_worlds);
-            out.rows.reserve(t.len());
-            for row in t.rows() {
-                out.rows.push(BundleRow::det(row.clone()));
-            }
-            Ok(out)
+            Ok(catalog.table(table)?.rows().iter().map(|row| BundleRow::det(row.clone())).collect())
         }
-        Plan::OneRow => {
-            let mut out = BundleTable::new(Schema::default(), ctx.n_worlds);
-            out.rows.push(BundleRow { cells: vec![], presence: Presence::All });
-            Ok(out)
-        }
+        Plan::OneRow => Ok(vec![BundleRow { cells: vec![], presence: Presence::All }]),
         Plan::Project { input, exprs } => {
-            let inp = run(input, catalog, ctx)?;
-            let bctx = batch_ctx(ctx, catalog);
-            let mut out = BundleTable::new(project_schema(exprs, &inp.schema), ctx.n_worlds);
-            out.rows.reserve(inp.rows.len());
-            for row in inp.rows {
-                let cells = exprs
+            let mut rows = run(input, catalog, ctx)?;
+            let bctx = batch_ctx(ctx);
+            // Each row is rewritten in place: its presence mask stays put
+            // and the row vector is reused.
+            for row in &mut rows {
+                row.cells = exprs
                     .iter()
-                    .map(|(_, e)| e.eval_bundle(&row, &bctx))
+                    .map(|(_, e)| e.eval_bundle(row, &bctx))
                     .collect::<Result<Vec<_>>>()?;
-                // The input row is consumed: its presence mask moves instead
-                // of being cloned per row.
-                out.rows.push(BundleRow { cells, presence: row.presence });
             }
-            Ok(out)
+            Ok(rows)
         }
         Plan::Filter { input, pred } => {
-            let mut inp = run(input, catalog, ctx)?;
-            let bctx = batch_ctx(ctx, catalog);
-            let mut kept = Vec::with_capacity(inp.rows.len());
-            for row in inp.rows.drain(..) {
+            let mut rows = run(input, catalog, ctx)?;
+            let bctx = batch_ctx(ctx);
+            let mut kept = Vec::with_capacity(rows.len());
+            for row in rows.drain(..) {
                 match pred.eval_bundle(&row, &bctx)? {
                     BundleCell::Det(v) => {
                         if v.as_bool() == Some(true) {
@@ -108,17 +93,15 @@ fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable>
                     }
                 }
             }
-            inp.rows = kept;
-            Ok(inp)
+            Ok(kept)
         }
         Plan::Join { left, right, pred } => {
             let l = run(left, catalog, ctx)?;
             let r = run(right, catalog, ctx)?;
-            let schema = concat_schema(&l.schema, &r.schema);
-            let bctx = batch_ctx(ctx, catalog);
-            let mut out = BundleTable::new(schema, ctx.n_worlds);
-            for lr in &l.rows {
-                for rr in &r.rows {
+            let bctx = batch_ctx(ctx);
+            let mut out = Vec::new();
+            for lr in &l {
+                for rr in &r {
                     let presence = lr.presence.and(&rr.presence, ctx.n_worlds);
                     if presence.count(ctx.n_worlds) == 0 {
                         continue;
@@ -127,11 +110,11 @@ fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable>
                     cells.extend(rr.cells.iter().cloned());
                     let row = BundleRow { cells, presence };
                     match pred {
-                        None => out.rows.push(row),
+                        None => out.push(row),
                         Some(p) => match p.eval_bundle(&row, &bctx)? {
                             BundleCell::Det(v) => {
                                 if v.as_bool() == Some(true) {
-                                    out.rows.push(row);
+                                    out.push(row);
                                 }
                             }
                             BundleCell::Stoch(xs) => {
@@ -140,7 +123,7 @@ fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable>
                                 if mask.iter().any(|&b| b) {
                                     let presence =
                                         row.presence.and(&Presence::Mask(mask), ctx.n_worlds);
-                                    out.rows.push(BundleRow { cells: row.cells, presence });
+                                    out.push(BundleRow { cells: row.cells, presence });
                                 }
                             }
                         },
@@ -152,46 +135,44 @@ fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable>
         Plan::HashJoin { left, right, left_key, right_key } => {
             let l = run(left, catalog, ctx)?;
             let r = run(right, catalog, ctx)?;
-            let schema = concat_schema(&l.schema, &r.schema);
-            let bctx = batch_ctx(ctx, catalog);
+            let bctx = batch_ctx(ctx);
             // Build on the right.
             let mut table: HashMap<crate::value::GroupKey, Vec<usize>> = HashMap::new();
-            for (i, rr) in r.rows.iter().enumerate() {
+            for (i, rr) in r.iter().enumerate() {
                 let key = det_value(right_key.eval_bundle(rr, &bctx)?)?;
                 table.entry(key.group_key()).or_default().push(i);
             }
-            let mut out = BundleTable::new(schema, ctx.n_worlds);
-            for lr in &l.rows {
+            let mut out = Vec::new();
+            for lr in &l {
                 let key = det_value(left_key.eval_bundle(lr, &bctx)?)?;
                 if key.is_null() {
                     continue; // SQL: NULL keys never join
                 }
                 if let Some(matches) = table.get(&key.group_key()) {
                     for &ri in matches {
-                        let rr = &r.rows[ri];
+                        let rr = &r[ri];
                         let presence = lr.presence.and(&rr.presence, ctx.n_worlds);
                         if presence.count(ctx.n_worlds) == 0 {
                             continue;
                         }
                         let mut cells = lr.cells.clone();
                         cells.extend(rr.cells.iter().cloned());
-                        out.rows.push(BundleRow { cells, presence });
+                        out.push(BundleRow { cells, presence });
                     }
                 }
             }
             Ok(out)
         }
         Plan::Aggregate { input, group_by, aggs } => {
-            let inp = run(input, catalog, ctx)?;
-            let bctx = batch_ctx(ctx, catalog);
-            aggregate(&inp, group_by, aggs, &bctx, ctx)
+            let rows = run(input, catalog, ctx)?;
+            let bctx = batch_ctx(ctx);
+            aggregate(&rows, group_by, aggs, &bctx, ctx)
         }
         Plan::Sort { input, keys } => {
-            let mut inp = run(input, catalog, ctx)?;
-            let bctx = batch_ctx(ctx, catalog);
-            let mut keyed: Vec<(Vec<Value>, BundleRow)> = inp
-                .rows
-                .drain(..)
+            let rows = run(input, catalog, ctx)?;
+            let bctx = batch_ctx(ctx);
+            let mut keyed: Vec<(Vec<Value>, BundleRow)> = rows
+                .into_iter()
                 .map(|row| {
                     let ks = keys
                         .iter()
@@ -210,36 +191,24 @@ fn run(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable>
                 }
                 std::cmp::Ordering::Equal
             });
-            inp.rows = keyed.into_iter().map(|(_, r)| r).collect();
-            Ok(inp)
+            Ok(keyed.into_iter().map(|(_, r)| r).collect())
         }
         Plan::Limit { input, n } => {
-            let mut inp = run(input, catalog, ctx)?;
-            inp.rows.truncate(*n);
-            Ok(inp)
+            let mut rows = run(input, catalog, ctx)?;
+            rows.truncate(*n);
+            Ok(rows)
         }
     }
 }
 
-fn batch_ctx<'a>(ctx: &'a ExecContext, catalog: &'a Catalog) -> BatchCtx<'a> {
+fn batch_ctx<'a>(ctx: &'a ExecContext<'_>) -> BatchCtx<'a> {
     BatchCtx {
         world_start: ctx.world_start,
         n_worlds: ctx.n_worlds,
         seeds: &ctx.seeds,
-        params: &ctx.params,
-        functions: catalog,
+        params: ctx.params,
         columnar: ctx.columnar,
     }
-}
-
-fn project_schema(exprs: &[(String, Expr)], _input: &Schema) -> Schema {
-    // The bound plan carries the authoritative schema; for intermediate
-    // nodes we rebuild a nominal one (names only matter for debugging).
-    Schema::new(exprs.iter().map(|(n, _)| crate::schema::Column::stoch(n.clone())).collect())
-}
-
-fn concat_schema(l: &Schema, r: &Schema) -> Schema {
-    Schema::new(l.columns().iter().chain(r.columns().iter()).cloned().collect())
 }
 
 fn det_value(cell: BundleCell) -> Result<Value> {
@@ -250,17 +219,17 @@ fn det_value(cell: BundleCell) -> Result<Value> {
 }
 
 fn aggregate(
-    inp: &BundleTable,
+    inp: &[BundleRow],
     group_by: &[(String, Expr)],
     aggs: &[AggSpec],
     bctx: &BatchCtx<'_>,
-    ctx: &ExecContext,
-) -> Result<BundleTable> {
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<BundleRow>> {
     let n = ctx.n_worlds;
     // Group rows by deterministic keys.
     let mut groups: HashMap<Vec<crate::value::GroupKey>, (Vec<Value>, Vec<usize>)> = HashMap::new();
     let mut order: Vec<Vec<crate::value::GroupKey>> = Vec::new();
-    for (ri, row) in inp.rows.iter().enumerate() {
+    for (ri, row) in inp.iter().enumerate() {
         let mut keys = Vec::with_capacity(group_by.len());
         let mut vals = Vec::with_capacity(group_by.len());
         for (_, k) in group_by {
@@ -282,23 +251,14 @@ fn aggregate(
         groups.insert(Vec::new(), (Vec::new(), Vec::new()));
     }
 
-    let mut schema_cols = Vec::new();
-    for (name, _) in group_by {
-        schema_cols
-            .push(crate::schema::Column::det(name.clone(), crate::schema::ColumnType::Float));
-    }
-    for a in aggs {
-        schema_cols.push(crate::schema::Column::stoch(a.name.clone()));
-    }
-    let mut out = BundleTable::new(Schema::new(schema_cols), n);
-
+    let mut out = Vec::with_capacity(order.len());
     for key in order {
         let (vals, row_ids) = groups.remove(&key).expect("group vanished");
         let mut cells: Vec<BundleCell> = vals.into_iter().map(BundleCell::Det).collect();
         for a in aggs {
             cells.push(eval_agg(a, &row_ids, inp, bctx, n)?);
         }
-        out.rows.push(BundleRow { cells, presence: Presence::All });
+        out.push(BundleRow { cells, presence: Presence::All });
     }
     Ok(out)
 }
@@ -409,7 +369,7 @@ fn accumulate_columnar(
 fn eval_agg(
     spec: &AggSpec,
     rows: &[usize],
-    inp: &BundleTable,
+    inp: &[BundleRow],
     bctx: &BatchCtx<'_>,
     n: usize,
 ) -> Result<BundleCell> {
@@ -420,7 +380,7 @@ fn eval_agg(
     };
     let mut counts = vec![0u64; n];
     for &ri in rows {
-        let row = &inp.rows[ri];
+        let row = &inp[ri];
         let cell = match &spec.arg {
             Some(e) => Some(e.eval_bundle(row, bctx)?),
             None => None,

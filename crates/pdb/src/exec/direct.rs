@@ -3,13 +3,14 @@
 //! For each possible world, this engine interprets the plan over plain
 //! `Vec<Value>` rows — re-scanning base tables, re-evaluating joins with
 //! nested loops, and re-grouping aggregates from scratch, exactly the way a
-//! quick scripting-language prototype (the paper's Ruby engine) would. Per
-//! invocation overhead is negligible; per-world data handling is O(data)
-//! every time.
+//! quick scripting-language prototype (the paper's Ruby engine) would.
+//! Per-world data handling is O(data) every time, and even a one-row
+//! scalar query pays the interpreter walk per world (see [`super`] for the
+//! measured cost against [`super::DbmsEngine`]).
 
 use std::collections::HashMap;
 
-use crate::bundle::{BundleCell, BundleRow, BundleTable, Presence};
+use crate::bundle::{BundleCell, BundleRow, Presence};
 use crate::catalog::Catalog;
 use crate::error::{PdbError, Result};
 use crate::expr::WorldCtx;
@@ -34,24 +35,20 @@ impl Engine for DirectEngine {
         "direct"
     }
 
-    fn execute(
+    fn execute_rows(
         &self,
         plan: &BoundPlan,
         catalog: &Catalog,
-        ctx: &ExecContext,
-    ) -> Result<BundleTable> {
+        ctx: &ExecContext<'_>,
+    ) -> Result<Vec<BundleRow>> {
         if ctx.columnar {
             return execute_columnar(plan, catalog, ctx);
         }
         // Evaluate every world independently.
         let mut worlds: Vec<Vec<Vec<Value>>> = Vec::with_capacity(ctx.n_worlds);
         for w in 0..ctx.n_worlds {
-            let wctx = WorldCtx {
-                world: ctx.world_start + w,
-                seeds: &ctx.seeds,
-                params: &ctx.params,
-                functions: catalog,
-            };
+            let wctx =
+                WorldCtx { world: ctx.world_start + w, seeds: &ctx.seeds, params: ctx.params };
             worlds.push(run_world(&plan.plan, catalog, &wctx)?);
         }
         assemble(plan, worlds, ctx.n_worlds)
@@ -67,7 +64,11 @@ impl Engine for DirectEngine {
 /// values are captured once from world 0. Same values in the same order as
 /// [`assemble`], so the output is bit-identical; peak memory stays at the
 /// final columns themselves.
-fn execute_columnar(plan: &BoundPlan, catalog: &Catalog, ctx: &ExecContext) -> Result<BundleTable> {
+fn execute_columnar(
+    plan: &BoundPlan,
+    catalog: &Catalog,
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<BundleRow>> {
     let n = ctx.n_worlds;
     let ncols = plan.schema.len();
     // Schema column → slot among the uncertain columns (None = deterministic).
@@ -88,12 +89,7 @@ fn execute_columnar(plan: &BoundPlan, catalog: &Catalog, ctx: &ExecContext) -> R
     // Per row, the deterministic column values in schema order.
     let mut det: Vec<Vec<Value>> = Vec::new();
     for w in 0..n {
-        let wctx = WorldCtx {
-            world: ctx.world_start + w,
-            seeds: &ctx.seeds,
-            params: &ctx.params,
-            functions: catalog,
-        };
+        let wctx = WorldCtx { world: ctx.world_start + w, seeds: &ctx.seeds, params: ctx.params };
         let rows = run_world(&plan.plan, catalog, &wctx)?;
         if w == 0 {
             rows0 = rows.len();
@@ -142,8 +138,7 @@ fn execute_columnar(plan: &BoundPlan, catalog: &Catalog, ctx: &ExecContext) -> R
             }
         }
     }
-    let mut out = BundleTable::new(plan.schema.clone(), n);
-    out.rows.reserve_exact(rows0);
+    let mut out = Vec::with_capacity(rows0);
     let mut stoch = stoch.into_iter();
     for drow in det {
         let mut drow = drow.into_iter();
@@ -155,7 +150,7 @@ fn execute_columnar(plan: &BoundPlan, catalog: &Catalog, ctx: &ExecContext) -> R
                 None => cells.push(BundleCell::Det(drow.next().expect("det value captured"))),
             }
         }
-        out.rows.push(BundleRow { cells, presence: Presence::All });
+        out.push(BundleRow { cells, presence: Presence::All });
     }
     Ok(out)
 }
@@ -364,7 +359,11 @@ fn aggregate_world(
 // Indices address the worlds[w][ri][ci] cube along three axes; iterators
 // would obscure the transposition being performed here.
 #[allow(clippy::needless_range_loop)]
-fn assemble(plan: &BoundPlan, mut worlds: Vec<Vec<Vec<Value>>>, n: usize) -> Result<BundleTable> {
+fn assemble(
+    plan: &BoundPlan,
+    mut worlds: Vec<Vec<Vec<Value>>>,
+    n: usize,
+) -> Result<Vec<BundleRow>> {
     let rows0 = worlds[0].len();
     if worlds.iter().any(|w| w.len() != rows0) {
         return Err(PdbError::Unsupported(
@@ -373,7 +372,7 @@ fn assemble(plan: &BoundPlan, mut worlds: Vec<Vec<Vec<Value>>>, n: usize) -> Res
                 .into(),
         ));
     }
-    let mut out = BundleTable::new(plan.schema.clone(), n);
+    let mut out = Vec::with_capacity(rows0);
     for ri in 0..rows0 {
         let mut cells = Vec::with_capacity(plan.schema.len());
         for ci in 0..plan.schema.len() {
@@ -391,7 +390,7 @@ fn assemble(plan: &BoundPlan, mut worlds: Vec<Vec<Vec<Value>>>, n: usize) -> Res
                 cells.push(BundleCell::Det(std::mem::replace(&mut worlds[0][ri][ci], Value::Null)));
             }
         }
-        out.rows.push(BundleRow { cells, presence: Presence::All });
+        out.push(BundleRow { cells, presence: Presence::All });
     }
     Ok(out)
 }

@@ -20,10 +20,13 @@
 //!   against.
 //!
 //! Black-box calls are the bridge to the stochastic world: each call site is
-//! assigned a stable id during binding, and the call for world `k` runs
-//! under `seeds.seed(k).derive(site_id)` — both evaluators derive seeds
+//! assigned a stable id and resolved to its catalog function ([`Callee`])
+//! during binding, and the call for world `k` runs under
+//! `seeds.seed(k).derive(site_id)` — both evaluators derive seeds
 //! identically, so the engines produce bit-identical possible worlds (an
 //! invariant the integration tests assert).
+
+use std::sync::Arc;
 
 use jigsaw_blackbox::BlackBox;
 use jigsaw_prng::SeedSet;
@@ -103,6 +106,9 @@ pub enum Expr {
         args: Vec<Expr>,
         /// Call-site id; `u64::MAX` while unbound.
         site: u64,
+        /// The catalog's function, resolved at bind time; `None` while
+        /// unbound.
+        func: Option<Callee>,
     },
     /// Binary arithmetic.
     Bin {
@@ -139,6 +145,32 @@ pub enum Expr {
     },
 }
 
+/// A call site's black box, resolved once when the expression is bound, so
+/// evaluation never looks a function up by name. Two callees are equal when
+/// they are the same registered instance.
+#[derive(Clone)]
+pub struct Callee(Arc<dyn BlackBox>);
+
+impl PartialEq for Callee {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.0), Arc::as_ptr(&other.0))
+    }
+}
+
+impl std::fmt::Debug for Callee {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0.name())
+    }
+}
+
+/// The function a call site was bound to, or the unbound-call error.
+fn bound_callee<'a>(name: &str, func: &'a Option<Callee>) -> Result<&'a Arc<dyn BlackBox>> {
+    match func {
+        Some(Callee(f)) => Ok(f),
+        None => Err(PdbError::UnknownFunction(format!("{name} (unbound)"))),
+    }
+}
+
 impl Expr {
     /// Literal float shorthand.
     pub fn lit_f(x: f64) -> Expr {
@@ -162,7 +194,7 @@ impl Expr {
 
     /// Call shorthand (unbound site).
     pub fn call(name: impl Into<String>, args: Vec<Expr>) -> Expr {
-        Expr::Call { name: name.into(), args, site: u64::MAX }
+        Expr::Call { name: name.into(), args, site: u64::MAX, func: None }
     }
 
     /// Binary-op shorthand.
@@ -215,7 +247,7 @@ impl Expr {
                     .iter()
                     .map(|a| a.bind(schema, params, catalog, next_site))
                     .collect::<Result<Vec<_>>>()?;
-                Expr::Call { name: name.clone(), args, site }
+                Expr::Call { name: name.clone(), args, site, func: Some(Callee(Arc::clone(f))) }
             }
             Expr::Bin { op, l, r } => Expr::bin(
                 *op,
@@ -286,8 +318,6 @@ pub struct WorldCtx<'a> {
     pub seeds: &'a SeedSet,
     /// Bound parameter values, positionally matching the names used at bind.
     pub params: &'a [f64],
-    /// Function lookup.
-    pub functions: &'a Catalog,
 }
 
 /// Whole-batch evaluation context for the bundled path.
@@ -300,8 +330,6 @@ pub struct BatchCtx<'a> {
     pub seeds: &'a SeedSet,
     /// Bound parameter values.
     pub params: &'a [f64],
-    /// Function lookup.
-    pub functions: &'a Catalog,
     /// Use the struct-of-arrays slice kernels instead of the per-world
     /// oracle loops. Both perform the same floating-point operations in the
     /// same order, so results are bit-identical; the oracle stays around as
@@ -444,8 +472,8 @@ impl Expr {
             Expr::ParamIdx(i) => Value::Float(ctx.params[*i]),
             Expr::Col(name) => return Err(PdbError::UnknownColumn(format!("{name} (unbound)"))),
             Expr::Param(name) => return Err(PdbError::UnknownParam(format!("{name} (unbound)"))),
-            Expr::Call { name, args, site } => {
-                let f = ctx.functions.function(name)?;
+            Expr::Call { name, args, site, func } => {
+                let f = bound_callee(name, func)?;
                 let mut argv = Vec::with_capacity(args.len());
                 for a in args {
                     let v = a.eval_scalar(row, ctx)?;
@@ -517,43 +545,58 @@ impl Expr {
             Expr::ParamIdx(i) => BundleCell::Det(Value::Float(ctx.params[*i])),
             Expr::Col(name) => return Err(PdbError::UnknownColumn(format!("{name} (unbound)"))),
             Expr::Param(name) => return Err(PdbError::UnknownParam(format!("{name} (unbound)"))),
-            Expr::Call { name, args, site } => {
-                let f = ctx.functions.function(name)?;
-                let argv =
-                    args.iter().map(|a| a.eval_bundle(row, ctx)).collect::<Result<Vec<_>>>()?;
+            Expr::Call { name, args, site, func } => {
+                let f = bound_callee(name, func)?;
+                let non_numeric =
+                    || PdbError::TypeError(format!("non-numeric argument to `{name}`"));
                 let mut out = Vec::with_capacity(ctx.n_worlds);
-                let mut buf = vec![0.0f64; argv.len()];
+                // The argument buffer lives on the stack for arities up to
+                // four (every catalog model's), so a call allocates only
+                // its output column.
+                let (mut small, mut large) = ([0.0f64; 4], Vec::new());
+                let buf: &mut [f64] = if args.len() <= small.len() {
+                    &mut small[..args.len()]
+                } else {
+                    large.resize(args.len(), 0.0);
+                    &mut large
+                };
                 if ctx.columnar {
-                    // Gather constant arguments into the buffer once; the
-                    // per-world loop only overwrites stochastic slots from
-                    // their contiguous columns before deriving the seed.
-                    let mut stoch_slots: Vec<(usize, &[f64])> = Vec::new();
-                    for (i, cell) in argv.iter().enumerate() {
-                        match cell {
-                            BundleCell::Det(v) => {
-                                buf[i] = v.as_f64().ok_or_else(|| {
-                                    PdbError::TypeError(format!("non-numeric argument to `{name}`"))
-                                })?;
-                            }
-                            BundleCell::Stoch(xs) => stoch_slots.push((i, xs.as_slice())),
+                    // Constant arguments land in the buffer once, with no
+                    // intermediate cell vector; the per-world loop only
+                    // overwrites stochastic slots from their contiguous
+                    // columns before deriving the seed. A non-numeric
+                    // constant is reported after every argument evaluated,
+                    // as the oracle does.
+                    let mut stoch_slots: Vec<(usize, Vec<f64>)> = Vec::new();
+                    let mut numeric = true;
+                    for (i, a) in args.iter().enumerate() {
+                        match a.eval_bundle(row, ctx)? {
+                            BundleCell::Det(v) => match v.as_f64() {
+                                Some(x) => buf[i] = x,
+                                None => numeric = false,
+                            },
+                            BundleCell::Stoch(xs) => stoch_slots.push((i, xs)),
                         }
+                    }
+                    if !numeric {
+                        return Err(non_numeric());
                     }
                     for w in 0..ctx.n_worlds {
                         for (slot, col) in &stoch_slots {
                             buf[*slot] = col[w];
                         }
                         let seed = ctx.seeds.seed(ctx.world_start + w).derive(*site);
-                        out.push(f.eval(&buf, seed));
+                        out.push(f.eval(buf, seed));
                     }
                 } else {
+                    let argv =
+                        args.iter().map(|a| a.eval_bundle(row, ctx)).collect::<Result<Vec<_>>>()?;
                     for w in 0..ctx.n_worlds {
                         for (slot, cell) in buf.iter_mut().zip(&argv) {
-                            *slot = cell.f64_at(w).ok_or_else(|| {
-                                PdbError::TypeError(format!("non-numeric argument to `{name}`"))
-                            })?;
+                            *slot = cell.f64_at(w).ok_or_else(non_numeric)?;
                         }
                         let seed = ctx.seeds.seed(ctx.world_start + w).derive(*site);
-                        out.push(f.eval(&buf, seed));
+                        out.push(f.eval(buf, seed));
                     }
                 }
                 BundleCell::Stoch(out)
@@ -751,7 +794,6 @@ mod tests {
     use crate::bundle::Presence;
     use crate::schema::{Column, ColumnType};
     use jigsaw_blackbox::FnBlackBox;
-    use std::sync::Arc;
 
     fn setup() -> (Schema, Catalog, SeedSet) {
         let schema = Schema::new(vec![
@@ -828,12 +870,11 @@ mod tests {
             n_worlds: n,
             seeds: &seeds,
             params: &[7.0],
-            functions: &cat,
             columnar: false,
         };
         let bundled = e.eval_bundle(&bundle_row, &bctx).unwrap();
         for w in 0..n {
-            let sctx = WorldCtx { world: w, seeds: &seeds, params: &[7.0], functions: &cat };
+            let sctx = WorldCtx { world: w, seeds: &seeds, params: &[7.0] };
             let scalar = e.eval_scalar(&row_vals, &sctx).unwrap();
             assert_eq!(scalar.as_f64().unwrap(), bundled.f64_at(w).unwrap(), "world {w}");
         }
@@ -854,7 +895,7 @@ mod tests {
             &schema,
             &cat,
         );
-        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[], functions: &cat };
+        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[] };
         assert_eq!(e.eval_scalar(&[Value::Float(3.0), Value::Null], &ctx).unwrap(), Value::Int(1));
         assert_eq!(e.eval_scalar(&[Value::Float(1.0), Value::Null], &ctx).unwrap(), Value::Int(0));
     }
@@ -870,14 +911,14 @@ mod tests {
             &schema,
             &cat,
         );
-        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[], functions: &cat };
+        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[] };
         assert_eq!(e.eval_scalar(&[Value::Null, Value::Null], &ctx).unwrap(), Value::Null);
     }
 
     #[test]
     fn integer_arithmetic_and_division_by_zero() {
         let (schema, cat, seeds) = setup();
-        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[], functions: &cat };
+        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[] };
         let div = bind(Expr::bin(BinOp::Div, Expr::lit_i(7), Expr::lit_i(2)), &schema, &cat);
         assert_eq!(div.eval_scalar(&[], &ctx).unwrap(), Value::Int(3));
         let div0 = bind(Expr::bin(BinOp::Div, Expr::lit_i(7), Expr::lit_i(0)), &schema, &cat);
@@ -889,7 +930,7 @@ mod tests {
     #[test]
     fn null_propagates_through_arithmetic_and_comparison() {
         let (schema, cat, seeds) = setup();
-        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[], functions: &cat };
+        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[] };
         let e = bind(Expr::bin(BinOp::Add, Expr::Lit(Value::Null), Expr::lit_i(1)), &schema, &cat);
         assert_eq!(e.eval_scalar(&[], &ctx).unwrap(), Value::Null);
         let c = bind(Expr::cmp(CmpOp::Lt, Expr::Lit(Value::Null), Expr::lit_i(1)), &schema, &cat);
@@ -921,7 +962,7 @@ mod tests {
         let row = vec![Value::Float(0.0), Value::Null];
         let mut any_nonzero = false;
         for w in 0..16 {
-            let ctx = WorldCtx { world: w, seeds: &seeds, params: &[], functions: &cat };
+            let ctx = WorldCtx { world: w, seeds: &seeds, params: &[] };
             if e.eval_scalar(&row, &ctx).unwrap().as_f64().unwrap() != 0.0 {
                 any_nonzero = true;
             }
@@ -967,7 +1008,6 @@ mod tests {
                 n_worlds: 9,
                 seeds: &seeds,
                 params: &[],
-                functions: &cat,
                 columnar,
             };
             let oracle = e.eval_bundle(&row, &mk(false)).unwrap();
@@ -999,14 +1039,8 @@ mod tests {
             cells: vec![BundleCell::Det(Value::Float(0.0)), BundleCell::Det(Value::Null)],
             presence: Presence::All,
         };
-        let ctx = BatchCtx {
-            world_start: 0,
-            n_worlds: 8,
-            seeds: &seeds,
-            params: &[],
-            functions: &cat,
-            columnar: false,
-        };
+        let ctx =
+            BatchCtx { world_start: 0, n_worlds: 8, seeds: &seeds, params: &[], columnar: false };
         match e.eval_bundle(&row, &ctx).unwrap() {
             BundleCell::Stoch(xs) => {
                 assert_eq!(xs.len(), 8);

@@ -95,7 +95,9 @@ impl Simulation for BlackBoxSim {
 /// A bound query plan executed by a PDB engine, exposed as a simulation.
 ///
 /// The plan must reduce to a **single logical row** (aggregate queries or
-/// scalar `SELECT`s) — exactly the shape the paper's example scenarios have.
+/// scalar `SELECT`s) — exactly the shape the paper's example scenarios have
+/// — and that row must exist in every world; anything else is
+/// [`PdbError::Unsupported`] on either engine.
 pub struct PlanSim {
     engine: Arc<dyn Engine>,
     plan: BoundPlan,
@@ -126,6 +128,10 @@ impl PlanSim {
 
     /// Run the plan over one world window and return the single logical
     /// row's cells. `columnar` selects the engine kernels.
+    ///
+    /// The row must exist in every world of the window: a row that a
+    /// stochastic filter removed from some worlds has no output there, and
+    /// serving its cells would count those worlds as if it had.
     fn execute_row(
         &self,
         point: &[f64],
@@ -135,19 +141,28 @@ impl PlanSim {
     ) -> Result<Vec<BundleCell>> {
         let ctx = ExecContext {
             seeds: self.seeds,
-            params: point.to_vec(),
+            params: point,
             world_start: start,
             n_worlds: count,
             columnar,
         };
-        let mut table = self.engine.execute(&self.plan, &self.catalog, &ctx)?;
-        if table.len() != 1 {
+        let mut rows = self.engine.execute_rows(&self.plan, &self.catalog, &ctx)?;
+        if rows.len() != 1 {
             return Err(PdbError::Unsupported(format!(
                 "simulation queries must produce exactly one row, got {}",
-                table.len()
+                rows.len()
             )));
         }
-        Ok(table.rows.pop().expect("length checked above").cells)
+        let row = rows.pop().expect("length checked above");
+        let present = row.presence.count(count);
+        if present != count {
+            return Err(PdbError::Unsupported(format!(
+                "simulation queries must produce their row in every world; \
+                 a stochastic filter removed it from {} of {count} worlds",
+                count - present
+            )));
+        }
+        Ok(row.cells)
     }
 
     /// Convert the row's cells into per-column world vectors: Det cells
@@ -294,6 +309,34 @@ mod tests {
             let oracle = sim.eval_worlds(&[4.0], 2, 11).unwrap();
             let batch = sim.eval_batch(&[4.0], 2, 11).unwrap();
             assert_eq!(batch.columns(), &oracle[..], "engine={name}");
+        }
+    }
+
+    #[test]
+    fn a_partly_present_row_is_unsupported_on_both_engines() {
+        // `SELECT F(@w) AS out WHERE F(@w) > 0.5` with F alternating 0/1
+        // over seeds: the stochastic filter keeps the row in some worlds
+        // only, and no single output column can stand for the others.
+        let seeds = SeedSet::new(3);
+        let mut cat = Catalog::new();
+        cat.add_function(Arc::new(FnBlackBox::new("F", 1, |_: &[f64], s| (s.0 % 2) as f64)));
+        let cat = Arc::new(cat);
+        let call = || Expr::call("F", vec![Expr::param("w")]);
+        let plan = Plan::OneRow
+            .filter(Expr::cmp(crate::expr::CmpOp::Gt, call(), Expr::lit_f(0.5)))
+            .project(vec![("out", call())])
+            .bind(&cat, &["w".to_string()])
+            .unwrap();
+        let engines: Vec<Arc<dyn Engine>> =
+            vec![Arc::new(DirectEngine::new()), Arc::new(DbmsEngine::new())];
+        for engine in engines {
+            let sim = PlanSim::new(engine, plan.clone(), cat.clone(), space(), seeds);
+            let name = sim.engine_name().to_string();
+            let oracle = sim.eval_worlds(&[1.0], 0, 16);
+            let batch = sim.eval_batch(&[1.0], 0, 16);
+            for got in [oracle.map(|_| ()), batch.map(|_| ())] {
+                assert!(matches!(got, Err(PdbError::Unsupported(_))), "engine={name}: {got:?}");
+            }
         }
     }
 

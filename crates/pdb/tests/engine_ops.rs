@@ -41,8 +41,8 @@ fn catalog() -> Catalog {
     c
 }
 
-fn ctx(n: usize) -> ExecContext {
-    ExecContext::new(SeedSet::new(17), vec![], n)
+fn ctx(n: usize) -> ExecContext<'static> {
+    ExecContext::new(SeedSet::new(17), &[], n)
 }
 
 fn engines() -> Vec<Box<dyn Engine>> {

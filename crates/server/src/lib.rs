@@ -13,13 +13,20 @@
 //! queries resolve against Monte Carlo work the first user paid for, and
 //! every sweep/session reports how much it rode warm (`warm_hits`).
 //!
+//! Scenarios run on the tuple-bundle
+//! [`DbmsEngine`](jigsaw_pdb::DbmsEngine), which evaluates a window of
+//! worlds column by column; the row-at-a-time
+//! [`DirectEngine`](jigsaw_pdb::DirectEngine) samples the same worlds at
+//! 3.5–5× the cost per world (measured in [`jigsaw_pdb::exec`]).
+//!
 //! Determinism carries over from the core: all clients share one master
 //! seed, worlds are seed-addressed, and store mutations happen under the
 //! store lock with world evaluation outside it — so estimates served over
 //! the wire are **bit-identical** to a local
 //! [`InteractiveSession`](jigsaw_core::InteractiveSession) over the same
-//! scenario and warm store (`tests/server_session.rs` enforces this at
-//! thread budgets 1 and 4, under both worker pools). `SAVE`/`LOAD` bridge
+//! scenario and warm store, on either engine (`tests/server_session.rs`
+//! enforces this at thread budgets 1 and 4, under both worker pools, with
+//! its local reference on `DirectEngine`). `SAVE`/`LOAD` bridge
 //! the in-memory registry to PR 4's versioned snapshots: saved stores are
 //! re-snapshotted at shutdown, so a restarted server resumes warm.
 //!

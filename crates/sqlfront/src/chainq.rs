@@ -106,7 +106,7 @@ impl QueryChainModel {
         let mut params = self.template.clone();
         params[self.step_idx] = step as f64;
         params[self.chain_idx] = chain;
-        let ctx = ExecContext::new(jigsaw_prng::SeedSet::new(seed.0), params, 1);
+        let ctx = ExecContext::new(jigsaw_prng::SeedSet::new(seed.0), &params, 1);
         let table = self
             .engine
             .execute(&self.plan, &self.catalog, &ctx)

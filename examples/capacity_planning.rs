@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use jigsaw::blackbox::models::{Capacity, Demand};
 use jigsaw::core::JigsawConfig;
-use jigsaw::pdb::{Catalog, DirectEngine};
+use jigsaw::pdb::{Catalog, DbmsEngine};
 use jigsaw::prng::SeedSet;
 use jigsaw::sql::compile;
 
@@ -56,7 +56,7 @@ fn main() {
     // Execute the batch pipeline (Figure 3) with paper-default config.
     let cfg = JigsawConfig::paper().with_n_samples(300);
     let outcome = scenario
-        .run_batch(Arc::new(DirectEngine::new()), catalog, SeedSet::new(7), cfg)
+        .run_batch(Arc::new(DbmsEngine::new()), catalog, SeedSet::new(7), cfg)
         .expect("batch run");
 
     println!(
