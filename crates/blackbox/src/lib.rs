@@ -35,5 +35,5 @@ pub mod work;
 pub use function::{BlackBox, FnBlackBox, MarkovModel};
 pub use instrument::{Counted, CountedMarkov, InvocationCounter};
 pub use param::{Domain, ParamDecl};
-pub use space::{ParamSpace, PointIter};
+pub use space::{ParamSpace, PointIter, SpaceError};
 pub use work::Workload;

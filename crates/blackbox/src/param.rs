@@ -38,18 +38,29 @@ pub enum Domain {
 
 impl Domain {
     /// Number of enumerable values. Chains contribute a single slot (their
-    /// value is determined by simulation, not enumeration).
+    /// value is determined by simulation, not enumeration). Panics when
+    /// the count does not fit a `usize` (see [`Self::checked_cardinality`]).
     pub fn cardinality(&self) -> usize {
+        self.checked_cardinality().expect("domain size overflows usize")
+    }
+
+    /// [`Self::cardinality`], or `None` when the count does not fit a
+    /// `usize` (a `RANGE` spanning more values than the platform can
+    /// address, or one with a non-positive step).
+    pub fn checked_cardinality(&self) -> Option<usize> {
         match self {
             Domain::Range { lo, hi, step } => {
                 if lo > hi {
-                    0
+                    Some(0)
+                } else if *step <= 0 {
+                    None
                 } else {
-                    ((hi - lo) / step + 1) as usize
+                    let span = i128::from(*hi) - i128::from(*lo);
+                    usize::try_from(span / i128::from(*step) + 1).ok()
                 }
             }
-            Domain::Set(vs) => vs.len(),
-            Domain::Chain { .. } => 1,
+            Domain::Set(vs) => Some(vs.len()),
+            Domain::Chain { .. } => Some(1),
         }
     }
 
@@ -106,6 +117,16 @@ impl ParamDecl {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uncountable_range_has_no_cardinality() {
+        let full = Domain::Range { lo: i64::MIN, hi: i64::MAX, step: 1 };
+        assert_eq!(full.checked_cardinality(), None, "2^64 values overflow usize");
+        let halves = Domain::Range { lo: i64::MIN, hi: i64::MAX, step: 2 };
+        assert_eq!(halves.checked_cardinality(), Some(1 << 63));
+        assert_eq!(Domain::Range { lo: 0, hi: 5, step: 0 }.checked_cardinality(), None);
+        assert_eq!(Domain::Range { lo: 5, hi: 0, step: 1 }.checked_cardinality(), Some(0));
+    }
 
     #[test]
     fn range_cardinality_inclusive() {

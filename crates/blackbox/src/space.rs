@@ -20,29 +20,74 @@ pub struct ParamSpace {
     len: usize,
 }
 
+/// Why a set of declarations does not form a [`ParamSpace`]: its points
+/// cannot be addressed by a `usize` index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpaceError {
+    /// One domain has more values than a `usize` counts.
+    DomainTooLarge {
+        /// The parameter's name.
+        name: String,
+    },
+    /// Every domain fits, but their product does not.
+    TooManyPoints,
+}
+
+impl std::fmt::Display for SpaceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpaceError::DomainTooLarge { name } => {
+                write!(f, "parameter @{name} has more values than a point index can count")
+            }
+            SpaceError::TooManyPoints => {
+                write!(f, "the parameter space has more points than a point index can count")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpaceError {}
+
 impl ParamSpace {
     /// Build a space from declarations. Chain parameters are carried along
     /// (their initial values appear in every point) but not enumerated.
+    /// Panics when the space is too large to index; declarations from an
+    /// untrusted source go through [`Self::try_new`].
     pub fn new(decls: Vec<ParamDecl>) -> Self {
+        Self::try_new(decls).expect("parameter space size overflow")
+    }
+
+    /// [`Self::new`], answering a typed error when some domain, or the
+    /// product of all of them, has more values than a `usize` counts.
+    pub fn try_new(decls: Vec<ParamDecl>) -> Result<Self, SpaceError> {
         let enumerable: Vec<usize> = decls
             .iter()
             .enumerate()
             .filter(|(_, d)| !d.domain.is_chain())
             .map(|(i, _)| i)
             .collect();
+        let mut cards = Vec::with_capacity(enumerable.len());
+        for &di in &enumerable {
+            let card = decls[di].domain.checked_cardinality();
+            cards.push(
+                card.ok_or_else(|| SpaceError::DomainTooLarge { name: decls[di].name.clone() })?,
+            );
+        }
+        // An empty domain empties the space, however large the others are.
+        let empty = cards.contains(&0);
         let mut len = 1usize;
         let mut strides = vec![0usize; enumerable.len()];
         // Row-major: last declared enumerable dimension varies fastest.
-        for (slot, &di) in enumerable.iter().enumerate().rev() {
+        for (slot, &card) in cards.iter().enumerate().rev() {
             strides[slot] = len;
-            len = len
-                .checked_mul(decls[di].domain.cardinality())
-                .expect("parameter space size overflow");
+            if !empty {
+                len = len.checked_mul(card).ok_or(SpaceError::TooManyPoints)?;
+            }
         }
-        if enumerable.iter().any(|&di| decls[di].domain.cardinality() == 0) {
+        if empty {
             len = 0;
         }
-        ParamSpace { decls, enumerable, strides, len }
+        Ok(ParamSpace { decls, enumerable, strides, len })
     }
 
     /// The declarations, in order.
@@ -129,6 +174,22 @@ mod tests {
             ParamDecl::range("a", 0, 2, 1),    // 3 values
             ParamDecl::set("b", vec![10, 20]), // 2 values
         ])
+    }
+
+    #[test]
+    fn oversized_spaces_are_typed_errors() {
+        let huge = || ParamDecl::range("x", 0, 4_000_000_000, 1);
+        let three = vec![huge(), huge(), huge()];
+        assert_eq!(ParamSpace::try_new(three), Err(SpaceError::TooManyPoints));
+        let full = ParamDecl::range("w", i64::MIN, i64::MAX, 1);
+        assert_eq!(
+            ParamSpace::try_new(vec![full]),
+            Err(SpaceError::DomainTooLarge { name: "w".into() })
+        );
+        assert_eq!(
+            ParamSpace::try_new(vec![huge(), huge()]).unwrap().len(),
+            4_000_000_001 * 4_000_000_001
+        );
     }
 
     #[test]

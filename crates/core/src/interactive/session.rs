@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use jigsaw_pdb::{OutputMetrics, PdbError, Result, Simulation};
+use jigsaw_pdb::{OutputMetrics, PdbError, Result, Simulation, WorldBatch};
 
 use crate::basis::{BasisId, BasisStore, ShardedBasisStore, SharedBasisStore};
 use crate::config::JigsawConfig;
@@ -47,8 +47,9 @@ impl SessionConfig {
     /// at the sweep's sample count (so refining a point never outgrows —
     /// and therefore never mutates — a sweep-built basis). The session
     /// server attaches every client this way. A session evaluates its
-    /// windows (`fingerprint_len` or `batch` worlds) on the calling thread;
-    /// the sweep's thread budget is not consulted.
+    /// windows (the fingerprint head, one batch, or an anytime loop's
+    /// look-ahead window) on the calling thread; the sweep's thread budget
+    /// is not consulted.
     pub fn from_jigsaw(cfg: &JigsawConfig) -> Self {
         SessionConfig {
             batch: 10,
@@ -206,6 +207,11 @@ struct PointState {
     /// The point's parameter values, kept for its refinement batches.
     point: Vec<f64>,
     cols: Vec<PointColState>,
+    /// Worlds a look-ahead window evaluated past the look its loop stopped
+    /// at: sample ids from `n_direct` on, folded first at the point's next
+    /// refinement, so no world is evaluated twice. A sample depends only on
+    /// (point, sample id), so a store replacement leaves these valid.
+    ahead: Option<WorldBatch>,
 }
 
 /// An interactive what-if session over one simulation.
@@ -234,7 +240,10 @@ pub struct InteractiveSession {
     points: HashMap<usize, PointState>,
     focus: usize,
     tick: u64,
-    /// Worlds evaluated so far (the online cost metric).
+    /// Worlds folded into points so far (the online cost metric):
+    /// fingerprint heads plus refinement batches. Worlds a look-ahead
+    /// window evaluated past the look its loop stopped at count once they
+    /// are folded, so the figure is the same for any window schedule.
     pub worlds_evaluated: u64,
     /// Points whose first touch was fully served by bases this session did
     /// not itself create (cross-session / cross-sweep warm reuse).
@@ -475,86 +484,125 @@ impl InteractiveSession {
             session_obs().warm_hits.inc();
         }
         session_obs().touches.inc();
-        self.points.insert(point_idx, PointState { point, cols });
+        self.points.insert(point_idx, PointState { point, cols, ahead: None });
         Ok(())
     }
 
-    /// Generate `batch` fresh samples for a point and fold them into its
-    /// direct metrics, its basis (through the inverse mapping, paper §5),
-    /// and the progressive fingerprint validation. Returns column
-    /// `report`'s estimate as of the fold, read under the same lock
-    /// acquisition, or `None` when the point is already at `n_target`.
-    fn generate_batch(&mut self, point_idx: usize, report: usize) -> Result<Option<Estimate>> {
+    /// Fold up to `batches` batches of fresh samples into a point, one
+    /// *look* per batch: each look folds its samples into the direct
+    /// metrics, the basis (through the inverse mapping, paper §5) and the
+    /// progressive fingerprint validation, then hands column `report`'s
+    /// estimate to `look`; folding stops after the first look for which
+    /// `look` returns `false`. Returns the worlds folded — 0 when the point
+    /// is already at `n_target`.
+    ///
+    /// The worlds come from one look-ahead window: the point's unfolded
+    /// worlds, topped up by one `eval_window` call outside the store lock.
+    /// Every look of the window folds under **one** lock acquisition, with
+    /// the same operations in the same order as a batch-at-a-time fold, so
+    /// each look's estimate is bit-identical to the one a single-batch call
+    /// at the same sample count returns. Worlds past the stopping look stay
+    /// on the point. An evaluation error leaves the point unchanged.
+    fn fold(
+        &mut self,
+        point_idx: usize,
+        report: usize,
+        batches: usize,
+        mut look: impl FnMut(Estimate) -> bool,
+    ) -> Result<usize> {
         let tolerance = self.cfg.tolerance;
-        let state = self.points.get(&point_idx).expect("touched");
+        let batch = self.cfg.batch;
+        let state = self.points.get_mut(&point_idx).expect("touched");
         let start = state.cols.iter().map(|c| c.n_direct).min().unwrap_or(0);
         if start >= self.cfg.n_target {
-            return Ok(None);
+            return Ok(0);
         }
-        // Clamp the last batch to the refinement ceiling: sample ids must
-        // never pass `n_target`, or the fold-back below would extend — i.e.
+        // Clamp the window to the refinement ceiling: sample ids must never
+        // pass `n_target`, or the fold-back below would extend — i.e.
         // mutate — a basis that a sweep built with exactly `n_target`
         // samples (the invariant [`SessionConfig::from_jigsaw`] documents).
-        let batch = self.cfg.batch.min(self.cfg.n_target - start);
-        let out = jigsaw_pdb::eval_window(&*self.sim, &state.point, start, batch)?;
-        self.worlds_evaluated += batch as u64;
+        let want = batches.saturating_mul(batch).min(self.cfg.n_target - start);
+        let have = state.ahead.as_ref().map_or(0, WorldBatch::n_worlds);
+        if have < want {
+            let fresh =
+                jigsaw_pdb::eval_window(&*self.sim, &state.point, start + have, want - have)?;
+            match &mut state.ahead {
+                Some(ahead) => ahead.extend(fresh),
+                None => state.ahead = Some(fresh),
+            }
+        }
+        let mut window = state.ahead.take().expect("filled above");
         let own = &mut self.own;
         let points = &mut self.points;
         let seen = &mut self.seen_generation;
-        let served = self.store.with_store_mut_versioned(|generation, stores| {
+        let folded = self.store.with_store_mut_versioned(|generation, stores| {
             // The stale-link check and every id dereference below share one
             // lock acquisition: a concurrent store replacement can never
             // slip between them and let a stale id alias (and refine!) an
             // unrelated basis at the same index.
             Self::drop_stale_links(seen, generation, own, points);
             let state = points.get_mut(&point_idx).expect("touched");
-            let mut served = None;
-            for (c, samples) in out.columns().iter().enumerate() {
-                let col = &mut state.cols[c];
-                col.metrics.extend(samples);
-                col.n_direct = start + batch;
-                if let Some((id, map)) = col.basis {
-                    // Validate the mapping on the fresh samples: the basis
-                    // predicts M(basis_sample_k) for the same sample ids.
-                    let store = stores.shard_mut(c);
-                    let basis = store.get(id);
-                    let basis_samples = basis.metrics.samples();
-                    let consistent = samples.iter().enumerate().all(|(i, &x)| {
-                        let k = start + i;
-                        basis_samples
-                            .get(k)
-                            .map(|&b| crate::fingerprint::approx_eq(map.apply(b), x, tolerance))
-                            // Sample id beyond basis coverage: fold it back
-                            // through the inverse mapping instead.
-                            .unwrap_or(true)
-                    });
-                    if consistent {
-                        if let Some(inv) = map.invert() {
-                            let back: Vec<f64> = samples
-                                .iter()
-                                .enumerate()
-                                .filter(|(i, _)| start + i >= basis_samples.len())
-                                .map(|(_, &x)| inv.apply(x))
-                                .collect();
-                            if !back.is_empty() {
-                                store.refine(id, &back);
+            let mut at = 0;
+            while at < want {
+                let n = batch.min(want - at);
+                let from = start + at;
+                let mut served = None;
+                for (c, samples) in window.columns().iter().enumerate() {
+                    let samples = &samples[at..at + n];
+                    let col = &mut state.cols[c];
+                    col.metrics.extend(samples);
+                    col.n_direct = from + n;
+                    if let Some((id, map)) = col.basis {
+                        // Validate the mapping on the fresh samples: the
+                        // basis predicts M(basis_sample_k) for the same ids.
+                        let store = stores.shard_mut(c);
+                        let basis = store.get(id);
+                        let basis_samples = basis.metrics.samples();
+                        let consistent = samples.iter().enumerate().all(|(i, &x)| {
+                            basis_samples
+                                .get(from + i)
+                                .map(|&b| crate::fingerprint::approx_eq(map.apply(b), x, tolerance))
+                                // Sample id beyond basis coverage: fold it
+                                // back through the inverse mapping instead.
+                                .unwrap_or(true)
+                        });
+                        if consistent {
+                            if let Some(inv) = map.invert() {
+                                let back: Vec<f64> = samples
+                                    .iter()
+                                    .enumerate()
+                                    .filter(|(i, _)| from + i >= basis_samples.len())
+                                    .map(|(_, &x)| inv.apply(x))
+                                    .collect();
+                                if !back.is_empty() {
+                                    store.refine(id, &back);
+                                }
                             }
+                        } else {
+                            // Mapping refuted by new evidence: detach and
+                            // fall back to direct estimation (Algorithm 5's
+                            // FindMatch-on-mismatch).
+                            col.basis = None;
                         }
-                    } else {
-                        // Mapping refuted by new evidence: detach and fall
-                        // back to direct estimation (Algorithm 5's
-                        // FindMatch-on-mismatch).
-                        col.basis = None;
+                    }
+                    let mapped = col.tighten(stores.shard(c));
+                    if c == report {
+                        served = Some(col.estimate(point_idx, mapped));
                     }
                 }
-                let mapped = col.tighten(stores.shard(c));
-                if c == report {
-                    served = Some(col.estimate(point_idx, mapped));
+                at += n;
+                if served.is_some_and(|est| !look(est)) {
+                    break;
                 }
             }
-            served
+            at
         });
-        Ok(served)
+        self.worlds_evaluated += folded as u64;
+        if folded < window.n_worlds() {
+            window.remove_front(folded);
+            self.points.get_mut(&point_idx).expect("touched").ahead = Some(window);
+        }
+        Ok(folded)
     }
 
     /// Execute one event-loop iteration. Returns the task performed.
@@ -566,7 +614,7 @@ impl InteractiveSession {
             TaskKind::Exploration => self.explore_heuristic(),
         };
         self.touch(target)?;
-        self.generate_batch(target, 0)?;
+        self.fold(target, 0, 1, |_| true)?;
         Ok(task)
     }
 
@@ -612,13 +660,18 @@ impl InteractiveSession {
     /// `NanMetric` policy at the `OPTIMIZE` selector, not a silent
     /// `7ff8…` bit pattern the client must know to sniff for.
     fn wire_safe(est: Estimate) -> Result<Estimate> {
-        if est.n_samples == 0 || est.expectation.is_nan() || est.lo.is_nan() || est.hi.is_nan() {
+        if !Self::is_wire_safe(&est) {
             return Err(PdbError::NanMetric(format!(
                 "estimate for point {} has no usable samples (n = {})",
                 est.point_idx, est.n_samples
             )));
         }
         Ok(est)
+    }
+
+    /// The test [`Self::wire_safe`] applies.
+    fn is_wire_safe(est: &Estimate) -> bool {
+        est.n_samples > 0 && !est.expectation.is_nan() && !est.lo.is_nan() && !est.hi.is_nan()
     }
 
     /// Touch `point_idx` (fingerprint + match, if this is first contact)
@@ -640,16 +693,20 @@ impl InteractiveSession {
     /// server can drive one subscription deterministically; sample ids
     /// address the same worlds any other schedule would evaluate, so the
     /// results are bit-identical to a blocking session reaching the same
-    /// sample count.
+    /// sample count — and to the looks of [`Self::estimate_bounded`]'s
+    /// look-ahead windows, which fold through the same routine.
     pub fn refine_once(&mut self, point_idx: usize, col: usize) -> Result<Estimate> {
         let _span = jigsaw_obs::span!("session.refine", point = point_idx, col = col);
         self.check_range(point_idx, col)?;
-        let folded = if self.points.contains_key(&point_idx) {
-            self.generate_batch(point_idx, col)?
+        let mut folded = None;
+        if self.points.contains_key(&point_idx) {
+            self.fold(point_idx, col, 1, |est| {
+                folded = Some(est);
+                true
+            })?;
         } else {
             self.touch(point_idx)?;
-            None
-        };
+        }
         let est = match folded {
             Some(est) => est,
             None => self.estimate(point_idx, col).expect("point touched above"),
@@ -660,14 +717,29 @@ impl InteractiveSession {
     }
 
     /// The anytime loop (Algorithm 5's refinement of one point): an
-    /// [`Self::estimate_now`], then [`Self::refine_once`] steps until the
-    /// bound of `(point_idx, col)` is at most `eps` wide or the per-point
-    /// sample budget (`n_target`) is exhausted; the result says which.
+    /// [`Self::estimate_now`], then one-batch *looks* until the bound of
+    /// `(point_idx, col)` is at most `eps` wide or the per-point sample
+    /// budget (`n_target`) is exhausted; the result says which.
+    ///
+    /// The looks come from look-ahead windows of 2, 4, 8, … batches,
+    /// capped at the budget: one `eval_window` call and one store-lock acquisition per
+    /// window, not per batch. A window folds its looks in order and stops
+    /// at the first one within `eps` (or not wire-safe); its unfolded
+    /// worlds stay on the point for the next refinement. Each look is
+    /// bit-identical to the [`Self::refine_once`] step at the same sample
+    /// count, and [`Self::worlds_evaluated`] counts folded worlds only, so
+    /// estimates, step counts and world counts match a batch-at-a-time
+    /// loop. A window whose evaluation fails is re-run one batch at a time,
+    /// so an error surfaces at the same look, after the same bounds.
     ///
     /// `on_bound` sees the tier-0 estimate and then every refined one that
-    /// is neither within `eps` nor the exhausted last step's; returning
-    /// `false` stops the loop there. The server's `SUBSCRIBE` streams these,
-    /// so a stream and a blocking call take the same steps.
+    /// is neither within `eps` nor the exhausted last step's, after the
+    /// window that folded it released the store lock. Returning `false`
+    /// stops the loop at that look: the result carries its estimate and
+    /// step count, and looks its window already folded after it stay
+    /// folded (and counted) but unreported. The server's `SUBSCRIBE`
+    /// streams these bounds, so a stream and a blocking call take the same
+    /// steps.
     pub fn estimate_bounded(
         &mut self,
         point_idx: usize,
@@ -683,14 +755,54 @@ impl InteractiveSession {
         let mut est = self.estimate_now(point_idx, col)?;
         let mut steps = 0usize;
         let mut going = on_bound(&est);
+        let mut window = 2usize;
+        // Looks of a failed window still to re-run one batch at a time.
+        let mut stepwise = 0usize;
+        let mut looks = Vec::new();
         while going && est.width() > eps {
-            let before = self.worlds_evaluated;
-            est = self.refine_once(point_idx, col)?;
-            if self.worlds_evaluated == before {
-                break; // n_target reached with the bound still wider than eps
+            let batches = if stepwise > 0 { 1 } else { window };
+            let folded = {
+                let _span = jigsaw_obs::span!(
+                    "session.refine",
+                    point = point_idx,
+                    col = col,
+                    batches = batches
+                );
+                self.fold(point_idx, col, batches, |look| {
+                    let more = look.width() > eps && Self::is_wire_safe(&look);
+                    looks.push(look);
+                    more
+                })
+            };
+            match folded {
+                // n_target reached with the bound still wider than eps:
+                // answer what a batch-at-a-time loop's last, empty step read.
+                Ok(0) => {
+                    est = self.refine_once(point_idx, col)?;
+                    break;
+                }
+                Ok(_) => {}
+                Err(_) if batches > 1 => {
+                    stepwise = batches;
+                    continue;
+                }
+                Err(e) => return Err(e),
             }
-            steps += 1;
-            going = est.width() <= eps || on_bound(&est);
+            if stepwise > 0 {
+                stepwise -= 1;
+            } else {
+                window = window.saturating_mul(2);
+            }
+            for look in looks.drain(..) {
+                est = Self::wire_safe(look)?;
+                // A look follows a fold, so `count_tier` would say refined.
+                session_obs().refined.inc();
+                steps += 1;
+                going = est.width() <= eps || on_bound(&est);
+                if !going {
+                    break;
+                }
+            }
         }
         Ok(BoundedEstimate { converged: est.width() <= eps, estimate: est, steps })
     }
@@ -1001,35 +1113,182 @@ mod tests {
         }
     }
 
+    /// Every bit an estimate carries.
+    type Bits = (usize, u64, u64, u64, u64, EstimateSource);
+
+    fn bits(e: &Estimate) -> Bits {
+        let f = |x: f64| x.to_bits();
+        (e.n_samples, f(e.expectation), f(e.std_dev), f(e.lo), f(e.hi), e.source)
+    }
+
+    /// What one anytime stream shows: the bounds its callback saw, then
+    /// (final estimate, steps, converged) or the error's text.
+    type Stream = (Vec<Bits>, std::result::Result<(Bits, usize, bool), String>);
+
+    fn looped(session: &mut InteractiveSession, point: usize, eps: f64) -> Stream {
+        let mut seen = Vec::new();
+        let result = session.estimate_bounded(point, 0, eps, |e| {
+            seen.push(bits(e));
+            true
+        });
+        (seen, result.map(|b| (bits(&b.estimate), b.steps, b.converged)).map_err(|e| e.to_string()))
+    }
+
+    /// The anytime loop by hand, one `refine_once` batch at a time.
+    fn stepped(session: &mut InteractiveSession, point: usize, eps: f64) -> Stream {
+        let mut seen = Vec::new();
+        let mut run = || {
+            let mut est = session.estimate_now(point, 0)?;
+            seen.push(bits(&est));
+            let mut steps = 0;
+            while est.width() > eps {
+                let before = session.worlds_evaluated;
+                est = session.refine_once(point, 0)?;
+                if session.worlds_evaluated == before {
+                    break;
+                }
+                steps += 1;
+                if est.width() > eps {
+                    seen.push(bits(&est));
+                }
+            }
+            Ok::<_, PdbError>((bits(&est), steps, est.width() <= eps))
+        };
+        let result = run().map_err(|e| e.to_string());
+        (seen, result)
+    }
+
+    /// `sim()`'s space and `Demand`, plus `quirk(week, world)` on every
+    /// output, counting model calls.
+    fn quirky_sim(
+        quirk: impl Fn(f64, usize) -> f64 + Send + Sync + 'static,
+    ) -> (Arc<BlackBoxSim>, jigsaw_blackbox::InvocationCounter) {
+        let seeds = SeedSet::new(77);
+        let world: HashMap<u64, usize> = (0..2000).map(|k| (seeds.seed(k).0, k)).collect();
+        let demand = Demand::paper();
+        let model = jigsaw_blackbox::Counted::new(jigsaw_blackbox::FnBlackBox::new(
+            "Demand",
+            2,
+            move |p: &[f64], s: jigsaw_prng::Seed| {
+                use jigsaw_blackbox::BlackBox;
+                demand.eval(p, s) + quirk(p[0], world.get(&s.0).copied().unwrap_or(usize::MAX))
+            },
+        ));
+        let counter = model.counter();
+        let space = ParamSpace::new(vec![
+            ParamDecl::range("week", 1, 30, 1),
+            ParamDecl::set("feature", vec![50]),
+        ]);
+        (Arc::new(BlackBoxSim::new(Arc::new(model), space, seeds)), counter)
+    }
+
+    /// Run `streams` (point, eps) on two sessions built alike and prepared
+    /// by `setup`, one through `estimate_bounded`, one by hand; `between`
+    /// runs on each before every stream after the first. Every bound, the
+    /// results and `worlds_evaluated` must agree bit for bit. Returns the
+    /// windowed session.
+    fn windows_match_steps(
+        case: &str,
+        make: &dyn Fn() -> InteractiveSession,
+        setup: &dyn Fn(&mut InteractiveSession),
+        streams: &[(usize, f64)],
+        between: &dyn Fn(&mut InteractiveSession),
+    ) -> (InteractiveSession, Vec<Stream>) {
+        let (mut windowed, mut by_hand) = (make(), make());
+        setup(&mut windowed);
+        setup(&mut by_hand);
+        let mut outcomes = Vec::new();
+        for (i, &(point, eps)) in streams.iter().enumerate() {
+            if i > 0 {
+                between(&mut windowed);
+                between(&mut by_hand);
+            }
+            let got = looped(&mut windowed, point, eps);
+            assert_eq!(got, stepped(&mut by_hand, point, eps), "{case}: stream {i}");
+            assert_eq!(windowed.worlds_evaluated, by_hand.worlds_evaluated, "{case}: stream {i}");
+            outcomes.push(got);
+        }
+        (windowed, outcomes)
+    }
+
     #[test]
     fn refine_once_stream_matches_estimate_bounded() {
-        let s = sim();
-        let eps = 0.5;
-        let key =
-            |e: &Estimate| (e.n_samples, e.expectation.to_bits(), e.lo.to_bits(), e.hi.to_bits());
-        // The anytime loop, recording every bound its callback sees.
-        let mut looped = InteractiveSession::new(s.clone(), SessionConfig::default());
-        let mut seen = Vec::new();
-        let bounded = looped
-            .estimate_bounded(9, 0, eps, |e| {
-                seen.push(key(e));
-                true
-            })
-            .unwrap();
-        // The same steps by hand: touch, then refine one batch at a time.
-        let mut stepped = InteractiveSession::new(s.clone(), SessionConfig::default());
-        let mut est = stepped.refine_once(9, 0).unwrap();
-        let mut wider = Vec::new();
-        while est.width() > eps {
-            wider.push(key(&est));
-            est = stepped.refine_once(9, 0).unwrap();
-        }
-        // The callback saw tier 0 and every refined bound still wider than
-        // eps, and the loop ended on the bits the stepping converged to.
-        assert_eq!(seen, wider);
-        assert_eq!(bounded.steps, wider.len());
-        assert_eq!(key(&bounded.estimate), key(&est));
-        assert_eq!(looped.worlds_evaluated, stepped.worlds_evaluated);
+        let cfg = SessionConfig::default();
+        let fresh = || InteractiveSession::new(sim(), cfg);
+        let nothing = |_: &mut InteractiveSession| {};
+        // Refine week 10 (point 9) 20 batches deep: its basis then covers
+        // sample ids 0..210, against which week 20 (point 19) validates.
+        let warm_week_10 = |s: &mut InteractiveSession| {
+            for _ in 0..21 {
+                s.refine_once(9, 0).unwrap();
+            }
+        };
+
+        // A cold point converging at eps 0.5.
+        let (_, cold) = windows_match_steps("cold", &fresh, &nothing, &[(9, 0.5)], &nothing);
+        assert!(cold[0].0.len() > 3, "the stream spans several windows");
+
+        // A point mapped onto a full (n_target-sample) basis: every look
+        // validates against the basis, none folds back.
+        let full = |s: &mut InteractiveSession| {
+            while s.refine_once(9, 0).unwrap().n_samples < cfg.n_target {}
+        };
+        let (_, mapped) = windows_match_steps("full basis", &fresh, &full, &[(19, 1e-9)], &nothing);
+        assert_eq!(mapped[0].0[0].5, EstimateSource::MappedBasis);
+
+        // A mapping refuted mid-window: week 20 leaves week 10's affine
+        // family at world 45, the 4th look of the stream.
+        let (s, _) = quirky_sim(|week, world| if week == 20.0 && world == 45 { 1.0 } else { 0.0 });
+        let quirky = || InteractiveSession::new(s.clone(), cfg);
+        let (_, refuted) =
+            windows_match_steps("detach", &quirky, &warm_week_10, &[(19, 1e-9)], &nothing);
+        let sources: Vec<EstimateSource> = refuted[0].0.iter().map(|b| b.5).collect();
+        assert_eq!(sources[..4], [EstimateSource::MappedBasis; 4]);
+        assert_eq!(sources[4], EstimateSource::Direct, "detached at world 45");
+
+        // Convergence mid-window, then a tighter SUBSCRIBE that consumes
+        // the evaluated-but-unfolded worlds; n_target = 255 is not a
+        // multiple of the batch. Each world is evaluated exactly once.
+        let tail = SessionConfig { n_target: 255, ..cfg };
+        let (s, calls) = quirky_sim(|_, _| 0.0);
+        let counted = || InteractiveSession::new(s.clone(), tail);
+        let (windowed, _) =
+            windows_match_steps("leftover", &counted, &nothing, &[(9, 0.8), (9, 1e-9)], &nothing);
+        assert_eq!(windowed.estimate(9, 0).unwrap().n_samples, 255);
+        assert_eq!(calls.get(), 2 * 255, "each session evaluated each world once");
+        let (s, calls) = quirky_sim(|_, _| 0.0);
+        let mut probe = InteractiveSession::new(s.clone(), tail);
+        let first = looped(&mut probe, 9, 0.8);
+        assert!(
+            calls.get() > probe.worlds_evaluated,
+            "eps 0.8 must converge mid-window ({:?}, {} worlds folded)",
+            first.1,
+            probe.worlds_evaluated
+        );
+
+        // A LOAD (wholesale store replacement) between two streams: the
+        // unfolded worlds stay valid, the basis links do not.
+        let replace = |s: &mut InteractiveSession| {
+            let jcfg = JigsawConfig::paper();
+            s.shared_store().replace(ShardedBasisStore::new(1, &jcfg, Arc::new(AffineFamily)));
+        };
+        windows_match_steps("load", &counted, &nothing, &[(9, 0.8), (9, 0.45)], &replace);
+
+        // A model failing at world 45, inside the second window: the
+        // error surfaces after the same bounds, with the same worlds folded.
+        let (s, _) = quirky_sim(|week, world| {
+            assert!(!(week == 10.0 && world == 45), "deliberate model failure");
+            0.0
+        });
+        let failing = || InteractiveSession::new(s.clone(), cfg);
+        let (_, failed) = windows_match_steps("panic", &failing, &nothing, &[(9, 1e-9)], &nothing);
+        assert!(failed[0].1.as_ref().is_err_and(|e| e.contains("deliberate")), "{:?}", failed[0].1);
+        // …and a NaN at world 45 fails the look that folds it.
+        let (s, _) =
+            quirky_sim(|week, world| if week == 10.0 && world == 45 { f64::NAN } else { 0.0 });
+        let nan = || InteractiveSession::new(s.clone(), cfg);
+        let (_, failed) = windows_match_steps("nan", &nan, &nothing, &[(9, 1e-9)], &nothing);
+        assert!(failed[0].1.as_ref().is_err_and(|e| e.contains("no usable")), "{:?}", failed[0].1);
     }
 
     #[test]
@@ -1043,6 +1302,22 @@ mod tests {
         assert!(!bounded.converged);
         assert_eq!(bounded.steps, 2);
         assert_eq!(session.worlds_evaluated, (cfg.fingerprint_len + 2 * cfg.batch) as u64);
+    }
+
+    #[test]
+    fn a_stop_mid_window_keeps_the_window_folded() {
+        let cfg = SessionConfig::default();
+        let mut session = InteractiveSession::new(sim(), cfg);
+        // Tier 0 goes on; the first refined bound, the first look of a
+        // two-batch window, says stop.
+        let mut answers = [true, false].into_iter();
+        let bounded = session.estimate_bounded(9, 0, 1e-12, |_| answers.next().unwrap()).unwrap();
+        assert_eq!(bounded.steps, 1);
+        assert_eq!(bounded.estimate.n_samples, cfg.fingerprint_len + cfg.batch);
+        // The window's second look was folded under the same lock
+        // acquisition: it counts, and the point's state includes it.
+        assert_eq!(session.worlds_evaluated, (cfg.fingerprint_len + 2 * cfg.batch) as u64);
+        assert_eq!(session.estimate(9, 0).unwrap().n_samples, cfg.fingerprint_len + 2 * cfg.batch);
     }
 
     #[test]

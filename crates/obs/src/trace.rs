@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Capacity of the in-process ring buffer of recent trace events.
 pub const RING_CAPACITY: usize = 4096;
@@ -185,7 +185,7 @@ impl From<bool> for Field {
 /// RAII guard for an open span; records a [`TraceEvent`] on drop when
 /// tracing is enabled. Construct with [`span!`], not directly.
 pub struct SpanGuard {
-    state: Option<(TraceEvent, Instant)>,
+    state: Option<TraceEvent>,
 }
 
 impl SpanGuard {
@@ -196,11 +196,10 @@ impl SpanGuard {
         if !trace_enabled() {
             return SpanGuard { state: None };
         }
-        let now = Instant::now();
+        let start_us = since_epoch_us();
         let mut fields = String::new();
         build(&mut fields);
-        let start_us = duration_us(now.saturating_duration_since(epoch()));
-        SpanGuard { state: Some((TraceEvent { name, fields, start_us, dur_us: 0 }, now)) }
+        SpanGuard { state: Some(TraceEvent { name, fields, start_us, dur_us: 0 }) }
     }
 
     /// Record an instant event (a span of zero duration).
@@ -211,19 +210,22 @@ impl SpanGuard {
         }
         let mut fields = String::new();
         build(&mut fields);
-        let start_us = duration_us(Instant::now().saturating_duration_since(epoch()));
-        record(TraceEvent { name, fields, start_us, dur_us: 0 });
+        record(TraceEvent { name, fields, start_us: since_epoch_us(), dur_us: 0 });
     }
 }
 
-fn duration_us(d: Duration) -> u64 {
+/// Whole µs since the trace epoch. A span's duration is the difference of
+/// two such readings, not its own truncated length, so an event recorded
+/// inside a span never starts after the span's recorded end.
+fn since_epoch_us() -> u64 {
+    let d = Instant::now().saturating_duration_since(epoch());
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((mut event, opened)) = self.state.take() {
-            event.dur_us = duration_us(opened.elapsed());
+        if let Some(mut event) = self.state.take() {
+            event.dur_us = since_epoch_us().saturating_sub(event.start_us);
             record(event);
         }
     }

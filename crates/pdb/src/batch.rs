@@ -72,6 +72,16 @@ impl WorldBatch {
         self.columns
     }
 
+    /// Drop the first `n` worlds, keeping the rest in order (the unread
+    /// tail of a window a caller consumes front to back).
+    pub fn remove_front(&mut self, n: usize) {
+        assert!(n <= self.n_worlds, "removing {n} of {} worlds", self.n_worlds);
+        for col in &mut self.columns {
+            col.drain(..n);
+        }
+        self.n_worlds -= n;
+    }
+
     /// Append another batch's worlds below this one (window stitching).
     /// Column counts must match.
     pub fn extend(&mut self, other: WorldBatch) {
@@ -110,6 +120,16 @@ mod tests {
         a.extend(WorldBatch::from_columns(vec![vec![2.0, 3.0]], 2));
         assert_eq!(a.n_worlds(), 3);
         assert_eq!(a.column(0), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn remove_front_keeps_the_tail_in_order() {
+        let mut b = WorldBatch::from_columns(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]], 3);
+        b.remove_front(2);
+        assert_eq!(b.n_worlds(), 1);
+        assert_eq!(b.columns(), &[vec![3.0], vec![6.0]]);
+        b.remove_front(1);
+        assert_eq!(b, WorldBatch::empty(2));
     }
 
     #[test]

@@ -645,6 +645,28 @@ mod tests {
         assert!(matches!(ticked, Response::Ticked { ticks: 1, .. }), "{ticked:?}");
     }
 
+    #[test]
+    fn an_oversized_space_is_a_compile_error_not_a_panic() {
+        let state = JigsawServer::builder().bind("127.0.0.1:0").expect("bind").state;
+        let (mut conn, _client) = pair();
+        let src = "DECLARE PARAMETER @a AS RANGE 0 TO 4000000000 STEP BY 1; \
+             DECLARE PARAMETER @b AS RANGE 0 TO 4000000000 STEP BY 1; \
+             DECLARE PARAMETER @c AS RANGE 0 TO 4000000000 STEP BY 1; \
+             SELECT Demand(@a, @b) AS demand INTO results;";
+        match request(&mut conn, &state, Request::Compile { src: src.into() }) {
+            Response::Error { code: ErrorCode::Compile, message } => {
+                assert!(!message.contains("panicked"), "{message}");
+                assert!(message.contains("more points"), "{message}");
+            }
+            other => panic!("expected ERR compile, got {other:?}"),
+        }
+        // The connection keeps serving.
+        assert!(matches!(
+            request(&mut conn, &state, Request::Compile { src: SRC.into() }),
+            Response::Compiled { .. }
+        ));
+    }
+
     /// Every frame of one cold `SUBSCRIBE` on `DEMAND`, closing `EST`
     /// included, on a fresh server running the given engine.
     fn cold_stream(direct: bool) -> Vec<String> {

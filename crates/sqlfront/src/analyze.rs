@@ -59,7 +59,8 @@ pub fn analyze_declares(decls: &[&DeclareStmt]) -> Result<(ParamSpace, Option<Ch
             }
         }
     }
-    Ok((ParamSpace::new(params), chain))
+    let space = ParamSpace::try_new(params).map_err(|e| SqlError::Analyze(e.to_string()))?;
+    Ok((space, chain))
 }
 
 /// Is this call head an aggregate function?
@@ -349,6 +350,21 @@ mod tests {
         let (space, chain) = analyze_declares(&decls).unwrap();
         assert_eq!(space.len(), 30);
         assert!(chain.is_none());
+    }
+
+    #[test]
+    fn oversized_space_is_an_analysis_error() {
+        let script = parse_script(
+            "DECLARE PARAMETER @a AS RANGE 0 TO 4000000000 STEP BY 1;
+             DECLARE PARAMETER @b AS RANGE 0 TO 4000000000 STEP BY 1;
+             DECLARE PARAMETER @c AS RANGE 0 TO 4000000000 STEP BY 1;",
+        )
+        .unwrap();
+        let decls: Vec<_> = script.declares().collect();
+        match analyze_declares(&decls) {
+            Err(SqlError::Analyze(msg)) => assert!(msg.contains("more points"), "{msg}"),
+            other => panic!("expected an analysis error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! `serve_subscribe` scenario (a 160 × 50 `Demand` space) on `DbmsEngine`,
 //! the engine the server runs.
 //!
+//! A second budget covers whole anytime streams
+//! ([`InteractiveSession::estimate_bounded`], what `SUBSCRIBE` runs), whose
+//! look-ahead windows evaluate many batches per model call.
+//!
 //! A refinement step evaluates one 10-world window and folds it into the
 //! point's samples. A step served from a mapped basis allocates the
 //! window's row, cell, output column and column list, plus an occasional
@@ -110,5 +114,48 @@ fn refine_steps_stay_within_their_allocation_budget() {
         total <= BUDGET,
         "{total} allocation calls over {steps} refine steps ({:.2} a step) exceed the budget of {BUDGET}",
         total as f64 / steps
+    );
+}
+
+/// Streams run to exhaustion: an eps no `Demand` point reaches, so every
+/// stream folds all `n_target` worlds of its point.
+const STREAMS: usize = 20;
+const NEVER: f64 = 1e-9;
+
+/// Allocation calls over all `STREAMS` exhausted `estimate_bounded`
+/// streams (tier 0 included), as measured: 46 a stream. Folding one
+/// 10-world batch per window and lock acquisition, the same streams made
+/// 8_263 calls, 413 a stream.
+const STREAM_BUDGET: u64 = 923;
+
+#[test]
+fn exhausted_streams_stay_within_their_allocation_budget() {
+    let catalog = Arc::new(default_catalog());
+    let scenario = jigsaw::sql::compile(SERVE_SUBSCRIBE, &catalog).expect("compiles");
+    let sim: Arc<dyn Simulation> = Arc::new(scenario.simulation(
+        Arc::new(DbmsEngine::new()),
+        Arc::clone(&catalog),
+        SeedSet::new(7),
+    ));
+    let cfg = SessionConfig::from_jigsaw(&JigsawConfig::paper());
+    let mut session = InteractiveSession::new(sim, cfg);
+    let space = scenario.space.len();
+    // One untimed stream first: lazily registered instruments allocate
+    // on whichever thread first reaches them.
+    session.estimate_bounded(space - 1, 0, NEVER, |_| true).expect("streams");
+    let mut total = 0;
+    for i in 0..STREAMS {
+        // Week ≥ 1: week 0's demand has no variance and converges at once.
+        let point = (50 + i * 199) % space;
+        let before = calls();
+        let bounded = session.estimate_bounded(point, 0, NEVER, |_| true).expect("streams");
+        total += calls() - before;
+        assert!(!bounded.converged);
+        assert_eq!(bounded.estimate.n_samples, cfg.n_target, "stream {i} ran to exhaustion");
+    }
+    assert!(
+        total <= STREAM_BUDGET,
+        "{total} allocation calls over {STREAMS} exhausted streams ({:.1} a stream) exceed the budget of {STREAM_BUDGET}",
+        total as f64 / STREAMS as f64
     );
 }
