@@ -38,11 +38,13 @@ impl Client {
     }
 
     /// Send one request and wait for its response. The protocol is strictly
-    /// request/response (`SUBSCRIBE` excepted — use [`Client::subscribe`]),
-    /// so `Err(Truncated)` here means the server went away mid-exchange.
+    /// request/response, except that a `SUBSCRIBE` streams `INTERVAL`s
+    /// before its closing frame: for one, this reads the whole stream and
+    /// returns the closing `EST` (or `ERR`), so the connection stays in step
+    /// (use [`Client::subscribe_each`] to see the stream). `Err(Truncated)`
+    /// means the server went away mid-exchange.
     pub fn request(&mut self, req: &Request) -> Result<Response, ProtocolError> {
-        send_request(&mut self.stream, req)?;
-        recv_response(&mut self.stream)?.ok_or(ProtocolError::Truncated)
+        self.exchange(req, |_| {})
     }
 
     /// Open a `SUBSCRIBE` stream and hand each frame to `on_frame` as it
@@ -56,17 +58,27 @@ impl Client {
         eps: f64,
         mut on_frame: impl FnMut(&Response),
     ) -> Result<(), ProtocolError> {
-        send_request(
-            &mut self.stream,
-            &Request::Subscribe { point, col, eps_bits: eps.to_bits() },
-        )?;
+        let subscribe = Request::Subscribe { point, col, eps_bits: eps.to_bits() };
+        let closing = self.exchange(&subscribe, &mut on_frame)?;
+        on_frame(&closing);
+        Ok(())
+    }
+
+    /// Send `req` and read its reply: every `INTERVAL` goes to
+    /// `on_interval`, and the first other frame — the request's one reply,
+    /// or a `SUBSCRIBE`'s closing frame — is returned.
+    fn exchange(
+        &mut self,
+        req: &Request,
+        mut on_interval: impl FnMut(&Response),
+    ) -> Result<Response, ProtocolError> {
+        send_request(&mut self.stream, req)?;
         loop {
             let resp = recv_response(&mut self.stream)?.ok_or(ProtocolError::Truncated)?;
-            let done = !matches!(resp, Response::Interval { .. });
-            on_frame(&resp);
-            if done {
-                return Ok(());
+            if !matches!(resp, Response::Interval { .. }) {
+                return Ok(resp);
             }
+            on_interval(&resp);
         }
     }
 
@@ -117,4 +129,36 @@ impl Client {
 /// the `jigsaw-client` binary and the CI smoke job use).
 pub fn run_script(addr: impl ToSocketAddrs, script: &str) -> Result<String, ProtocolError> {
     Client::connect(addr)?.run_script(script)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::JigsawServer;
+
+    #[test]
+    fn a_subscribe_sent_through_request_keeps_the_connection_in_step() {
+        let handle =
+            JigsawServer::builder().bind("127.0.0.1:0").expect("bind").serve().expect("serve");
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        let src = "DECLARE PARAMETER @week AS RANGE 0 TO 19 STEP BY 1; \
+             SELECT Demand(@week, 5) AS demand INTO results;"
+            .to_string();
+        let compiled = client.request(&Request::Compile { src }).expect("compile");
+        assert!(matches!(compiled, Response::Compiled { points: 20, .. }), "{compiled:?}");
+
+        // Every stream opens with a tier-0 INTERVAL before its closing EST.
+        let eps_bits = 0.5f64.to_bits();
+        let closing = client.request(&Request::Subscribe { point: 12, col: 0, eps_bits });
+        let closing = closing.expect("subscribe");
+        assert!(matches!(closing, Response::Estimated { point: 12, col: 0, .. }), "{closing:?}");
+        // The next reply on the connection is the ESTIMATE's own, and it
+        // reads the state the stream left: the same bits.
+        let estimate = client.request(&Request::Estimate { point: 12, col: 0 }).expect("estimate");
+        assert_eq!(estimate, closing);
+        let refused = client.request(&Request::Subscribe { point: 99, col: 0, eps_bits });
+        assert!(matches!(refused.expect("answered"), Response::Error { .. }));
+        assert_eq!(client.request(&Request::Quit).expect("quit"), Response::Bye);
+        handle.shutdown().expect("shutdown");
+    }
 }

@@ -6,6 +6,12 @@
 //! ([`protocol`]). Every connection is served by a blocking thread of its
 //! own, which reads a frame, executes it and writes the reply, so one
 //! client's sweep (or a client that stops reading) never stalls another's.
+//! A connection whose client sent its last three requests each within
+//! 100 µs of a reply is *hot*: its thread polls the socket for up to that
+//! budget before it blocks in `read`, which spares a closed-loop client a
+//! park and a wake per request; a server-wide cap keeps one core free of
+//! polling threads, and `jigsaw_conn_waits_total{how}` counts which way
+//! each frame's wait ended.
 //! Every client connection compiles its scenario against the server's
 //! model catalog and attaches to the **one shared warm
 //! [`SharedBasisStore`](jigsaw_core::SharedBasisStore)** for that

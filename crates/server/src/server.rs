@@ -4,7 +4,9 @@
 //! An **acceptor thread** (`jigsaw-accept`) blocks in `accept()`; each
 //! accepted connection gets a thread of its own (`jigsaw-conn-<n>`) that
 //! blocks in `read` until its client sends a frame, executes it, writes the
-//! reply, and reads again (see [`crate::conn`]). The kernel does the rest:
+//! reply, and reads again (see [`crate::conn`]; a connection whose client
+//! keeps answering within the spin budget polls briefly before it blocks,
+//! on at most [`SpinSlots`]' share of the cores). The kernel does the rest:
 //! a thread wakes when bytes arrive, a client that stops reading blocks
 //! only its own thread, and a quiet server costs no CPU. The traffic this
 //! server sees — a handful of interactive clients, a few hundred in the
@@ -33,6 +35,7 @@ use jigsaw_core::{JigsawConfig, PersistentPool};
 use jigsaw_obs::event;
 use jigsaw_pdb::Catalog;
 
+use crate::conn::SpinSlots;
 use crate::default_catalog;
 
 /// The mapping family every server store is built on.
@@ -95,6 +98,8 @@ pub struct ServerState {
     /// Stores that have been `SAVE`d (or `LOAD`ed), and where — these are
     /// re-snapshotted on shutdown so a restart resumes warm.
     pub(crate) persisted: Mutex<HashMap<StoreKey, PathBuf>>,
+    /// Caps the connection threads polling their sockets at once.
+    pub(crate) spin: SpinSlots,
     conns: Mutex<Conns>,
 }
 
@@ -213,6 +218,7 @@ impl ServerBuilder {
             catalog_name: self.catalog_name,
             registry: StoreRegistry::new(),
             persisted: Mutex::new(HashMap::new()),
+            spin: SpinSlots::new(),
             conns: Mutex::new(Conns::default()),
         };
         Ok(JigsawServer { listener, state: Arc::new(state) })

@@ -9,6 +9,9 @@
 //! ([`InteractiveSession::estimate_bounded`], what `SUBSCRIBE` runs), whose
 //! look-ahead windows evaluate many batches per model call.
 //!
+//! A third covers the server's read path: one request frame written,
+//! read back and decoded, over an in-memory buffer.
+//!
 //! A refinement step evaluates one 10-world window and folds it into the
 //! point's samples. A step served from a mapped basis allocates the
 //! window's row, cell, output column and column list, plus an occasional
@@ -24,6 +27,8 @@ use jigsaw::core::JigsawConfig;
 use jigsaw::pdb::{DbmsEngine, Simulation};
 use jigsaw::prng::SeedSet;
 use jigsaw::server::default_catalog;
+use jigsaw::server::protocol::{read_frame, write_frame};
+use jigsaw::server::Request;
 
 /// [`System`], counting this thread's allocation calls (`alloc`,
 /// `alloc_zeroed` and `realloc`; frees are not counted).
@@ -157,5 +162,44 @@ fn exhausted_streams_stay_within_their_allocation_budget() {
         total <= STREAM_BUDGET,
         "{total} allocation calls over {STREAMS} exhausted streams ({:.1} a stream) exceed the budget of {STREAM_BUDGET}",
         total as f64 / STREAMS as f64
+    );
+}
+
+/// Round trips per request kind in the frame budget below.
+const TRIPS: usize = 1000;
+
+/// Allocation calls over `TRIPS` round trips of each of an `ESTIMATE`, the
+/// request `serve_warm` sends, and a `COMPILE`, the one request with a
+/// body, as measured: 3 a round trip for each — the frame `write_frame`
+/// assembles and the payload `read_frame` reads into, then the argument
+/// list `Request::decode` splits off an `ESTIMATE`, or the script a
+/// `COMPILE` owns (its empty argument list allocates nothing).
+const FRAME_BUDGET: u64 = 3 * 2 * TRIPS as u64;
+
+#[test]
+fn a_frame_round_trip_stays_within_its_allocation_budget() {
+    let requests = [
+        Request::Estimate { point: 417, col: 0 },
+        Request::Compile { src: SERVE_SUBSCRIBE.into() },
+    ];
+    let payloads: Vec<String> = requests.iter().map(Request::encode).collect();
+    // Room for the largest frame, so the buffer never grows while counted.
+    let mut wire: Vec<u8> = Vec::with_capacity(4 + SERVE_SUBSCRIBE.len() + 64);
+    let mut total = 0;
+    for (req, payload) in requests.iter().zip(&payloads) {
+        for _ in 0..TRIPS {
+            wire.clear();
+            let before = calls();
+            write_frame(&mut wire, payload).expect("writes");
+            let read = read_frame(&mut wire.as_slice()).expect("reads").expect("a frame");
+            let decoded = Request::decode(&read).expect("decodes");
+            total += calls() - before;
+            assert_eq!(&decoded, req);
+        }
+    }
+    assert!(
+        total <= FRAME_BUDGET,
+        "{total} allocation calls over {} frame round trips exceed the budget of {FRAME_BUDGET}",
+        2 * TRIPS
     );
 }

@@ -76,6 +76,27 @@ fn assert_per_verb_counts_agree(text: &str) -> usize {
     verbs_seen
 }
 
+/// `jigsaw_conn_waits_total`, both ways a wait can end.
+fn frame_waits(text: &str) -> i128 {
+    ["spun", "parked"]
+        .iter()
+        .map(|how| {
+            series(text, &format!("jigsaw_conn_waits_total{{how=\"{how}\"}}"))
+                .unwrap_or_else(|| panic!("no {how} wait series"))
+        })
+        .sum()
+}
+
+/// Frames decoded into a request of any verb, or answered malformed.
+fn frames_decoded(text: &str) -> i128 {
+    let requests: i128 = text
+        .lines()
+        .filter(|line| line.starts_with("jigsaw_requests_total{"))
+        .map(|line| line.rsplit_once(' ').expect("a value").1.parse::<i128>().expect("a count"))
+        .sum();
+    requests + series(text, "jigsaw_requests_malformed_total").expect("malformed counter")
+}
+
 #[test]
 fn warm_session_scrape_reports_consistent_counters() {
     let _g = guard();
@@ -126,6 +147,11 @@ fn warm_session_scrape_reports_consistent_counters() {
         let (_, value) = line.rsplit_once(' ').expect("sample line has a value");
         value.parse::<i128>().unwrap_or_else(|_| panic!("non-numeric sample: {line}"));
     }
+
+    // Every frame this test sent between the two scrapes was waited for
+    // once — spun or parked — and decoded into a counted request.
+    let (waits, frames) = (frame_waits(&text), frames_decoded(&text));
+    assert_eq!(waits - frame_waits(&cold), frames - frames_decoded(&cold), "{text}");
 
     let verbs_seen = assert_per_verb_counts_agree(&text);
     assert!(verbs_seen >= 4, "HELLO, METRICS, COMPILE, SWEEP, ESTIMATE all ran");
