@@ -22,6 +22,8 @@
 //! hardware; the claims under reproduction are the *shapes*: who wins, by
 //! roughly what factor, and where crossovers fall.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod table;
 

@@ -23,6 +23,7 @@
 //!   `Capacity`, `Overload`, `UserSelection`, `SynthBasis`, `MarkovStep`,
 //!   `MarkovBranch`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod function;

@@ -225,12 +225,51 @@ pub fn config_fingerprint(cfg: &JigsawConfig, family_name: &str) -> u64 {
 /// and unique per write (so two concurrent `SAVE`s of one name never share
 /// it). A failed write removes it; a process killed between create and
 /// rename leaves it behind. Such a leftover is never read — no snapshot is
-/// named `.tmp-*` — and can be deleted whenever its writer is gone.
+/// named `.tmp-*` — and [`remove_orphaned_temporaries`] deletes it once its
+/// writer is gone (the session server runs it when it binds with a snapshot
+/// directory).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_file_name(format!(".tmp-{}-{seq}", std::process::id()));
     write_through(&tmp, path, bytes)
+}
+
+/// Remove the temporaries that writers killed between create and rename
+/// left in `dir`: every `.tmp-<pid>-<seq>` file (see [`write_atomic`])
+/// whose writer process is gone, which on Linux means there is no
+/// `/proc/<pid>` (so a writer in another pid namespace counts as gone: its
+/// rename then fails, and its write reports the error). Elsewhere, or where
+/// `/proc` is not mounted, no writer is known to be gone and nothing is
+/// removed. Returns how many were removed.
+pub fn remove_orphaned_temporaries(dir: &Path) -> std::io::Result<usize> {
+    let proc = Path::new("/proc");
+    if !cfg!(target_os = "linux") || !proc.join("self").exists() {
+        return Ok(0);
+    }
+    let mut removed = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(pid) = name.to_str().and_then(temporary_writer) else { continue };
+        if proc.join(pid.to_string()).exists() {
+            continue;
+        }
+        match std::fs::remove_file(entry.path()) {
+            Ok(()) => removed += 1,
+            // Another process swept it first.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(removed)
+}
+
+/// The writer's pid, if `name` is a [`write_atomic`] temporary's.
+fn temporary_writer(name: &str) -> Option<u32> {
+    let (pid, seq) = name.strip_prefix(".tmp-")?.split_once('-')?;
+    seq.parse::<u64>().ok()?;
+    pid.parse().ok()
 }
 
 /// [`write_atomic`] with the temporary's path chosen by the caller.

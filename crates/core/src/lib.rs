@@ -22,6 +22,7 @@
 //! * [`interactive`] — the online what-if event loop (§5, Algorithm 5) and
 //!   `GRAPH` rendering.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod basis;

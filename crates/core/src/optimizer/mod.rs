@@ -13,6 +13,9 @@
 //! applies the `OPTIMIZE` goal to the sweep results.
 
 pub mod executor;
+// The crate's one `unsafe` cluster: the persistent pool's lifetime-erased
+// task pointer (see its SAFETY comments).
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod selector;
 

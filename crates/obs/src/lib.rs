@@ -50,6 +50,7 @@
 //! assert!(text.contains("demo_requests_total{verb=\"EST\"} 1"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hist;

@@ -21,6 +21,7 @@
 //!   [`batch::WorldBatch`]es, with a per-world oracle path kept
 //!   bit-identical for verification.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

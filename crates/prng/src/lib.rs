@@ -38,6 +38,7 @@
 //! assert_eq!(x, n.sample(&mut rng2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counter;

@@ -15,11 +15,12 @@
 //!
 //! Long verbs (`SWEEP`, `TICK`, `SAVE`, `LOAD`) run on this thread like any
 //! other; a sweep scatters its worlds on the server's one shared pool. The
-//! failure model follows from one thread per client holding at most one
-//! frame:
+//! failure model follows from one thread per client executing at most one
+//! frame at a time:
 //!
 //! - a client that never reads blocks only its own thread, in `write`;
-//! - a client that pipelines without reading is pushed back by TCP;
+//! - a client that pipelines without reading is pushed back by TCP once
+//!   its thread's receive buffer (8 KiB) and the socket's are full;
 //! - a client of a scenario that is being swept waits on the store lock on
 //!   its own thread, and nobody else waits;
 //! - a half-closed client (`printf … | nc`) gets every reply, because its
@@ -27,21 +28,31 @@
 //! - a client that goes away mid-sweep loses the reply, not the work: the
 //!   sweep finishes and the store stays warm.
 //!
+//! Every frame is read through the connection's receive buffer
+//! ([`FrameBuf`]) by the one frame parser, so a frame that has fully arrived
+//! costs one `read` and a frame already in the buffer — the second of two
+//! pipelined requests — costs none.
+//!
 //! Waiting for the next frame costs a park and a wake when the thread
 //! blocks in `read`, a few µs that a client sending request after request
 //! pays on every one. So a **hot** connection — one whose last
 //! [`HOT_STREAK`] frames each arrived within [`SPIN_BUDGET`] of the reply
-//! before it — first polls its socket without blocking, yielding between
-//! polls, for at most that budget, and only then blocks in `read` like a
-//! cold one. The wait routine bounds what the poll can cost others:
+//! before it — first fills its buffer with non-blocking reads, yielding
+//! between them, for at most that budget, and only then blocks in `read`
+//! like a cold one. That wait routine, [`spin`], is the one both ends of a
+//! connection run: [`Client`](crate::Client) waits for its replies with it
+//! too, on slots and a budget of its own. It bounds what polling can cost
+//! others:
 //!
+//! - buffered bytes come first: a waiter whose buffer already holds bytes
+//!   reads them at once, so a pipelined frame never waits on the socket;
 //! - at most `available_parallelism − 1` threads (at least 1) poll at once,
 //!   server-wide ([`SpinSlots`]); a hot connection that finds every slot
 //!   taken blocks at once, so polling never takes the last core from a
 //!   sweep or another request;
 //! - a client with human think times, or with gaps longer than the budget,
 //!   stays cold and never polls;
-//! - the socket is blocking again before the frame is read, so every
+//! - the socket is blocking again before the frame is parsed, so every
 //!   reply, however large, goes out through a blocking `write_all`;
 //! - shutdown ends a polling thread as it ends a blocked one: the poll
 //!   sees the shut socket's end of stream and hands over to `read`.
@@ -69,7 +80,7 @@ use jigsaw_prng::SeedSet;
 use jigsaw_sql::{compile, Scenario};
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, ProtocolError, Request, Response, MAX_FRAME,
+    write_frame, ErrorCode, FrameBuf, ProtocolError, Request, Response, MAX_FRAME,
     PROTOCOL_VERSION, VERBS,
 };
 use crate::server::{fnv64, snapshot_family, snapshot_filename, ServerState, FAMILY};
@@ -79,6 +90,14 @@ use crate::server::{fnv64, snapshot_family, snapshot_filename, ServerState, FAMI
 /// let one request hold its connection, and contend with every other client
 /// of the scenario, for as long as the client cared to ask.
 pub const MAX_TICKS_PER_REQUEST: u32 = 10_000;
+
+/// Upper bound on the points of a compiled scenario's space. A `SWEEP`
+/// sizes its index and result vectors from the space before its first
+/// world, and a failed allocation aborts the process past any
+/// `catch_unwind`, so the cap is checked at `COMPILE`, where it bounds every
+/// per-point allocation the server makes. The paper's largest space (E2's,
+/// 8 788 points) fits over a hundred times.
+pub const MAX_SPACE_POINTS: usize = 1 << 20;
 
 /// How long a hot connection polls for its next frame before it blocks in
 /// `read`, and the largest reply-to-next-frame gap that counts towards
@@ -98,8 +117,9 @@ pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(100);
 /// closed-loop client's share falls only from 99.2 % to 98.5 %.
 const HOT_STREAK: u32 = 3;
 
-/// The server-wide cap on threads polling their sockets at once:
-/// `available_parallelism − 1`, at least 1.
+/// A cap on threads polling their sockets at once:
+/// `available_parallelism − 1`, at least 1. Each server has one for its
+/// connections, and a process has one for its clients.
 pub(crate) struct SpinSlots {
     busy: AtomicUsize,
     cap: usize,
@@ -145,21 +165,32 @@ impl Drop for NonBlocking<'_> {
     }
 }
 
-/// Poll `stream` without blocking, yielding the core between polls, for at
-/// most [`SPIN_BUDGET`] and only while holding one of `slots`. True once a
-/// byte, the end of the stream or a socket error is ready to read; false if
-/// the budget ran out or no slot (or no non-blocking mode) was to be had.
-/// Either way the socket is blocking again on return.
-fn spin(stream: &TcpStream, slots: &SpinSlots) -> bool {
+/// The one wait routine both ends of a connection run before they read a
+/// frame through `frames`: true at once if the buffer already holds bytes;
+/// otherwise, while holding one of `slots`, refill it with non-blocking
+/// reads of `stream`, yielding the core between them, for at most `budget`.
+/// True once a refill brought bytes, the end of the stream or a socket
+/// error; false if the budget ran out or no slot (or no non-blocking mode)
+/// was to be had — the caller then parks in a blocking read. Either way the
+/// socket is blocking again on return.
+pub(crate) fn spin(
+    frames: &mut FrameBuf,
+    stream: &TcpStream,
+    slots: &SpinSlots,
+    budget: Duration,
+) -> bool {
+    if !frames.is_empty() {
+        return true;
+    }
     let Some(_slot) = slots.take() else { return false };
     let Some(_nonblocking) = NonBlocking::set(stream) else { return false };
     let t0 = Instant::now();
     loop {
-        match stream.peek(&mut [0u8; 1]) {
+        match frames.fill(stream) {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
             _ => return true,
         }
-        if t0.elapsed() >= SPIN_BUDGET {
+        if t0.elapsed() >= budget {
             return false;
         }
         std::thread::yield_now();
@@ -290,6 +321,13 @@ impl Compiled {
         }
         let scenario =
             compile(src, &state.catalog).map_err(|e| err(ErrorCode::Compile, &e.to_string()))?;
+        let points = scenario.space.len();
+        if points > MAX_SPACE_POINTS {
+            return Err(err(
+                ErrorCode::Compile,
+                &format!("the space has {points} points, over the {MAX_SPACE_POINTS}-point cap"),
+            ));
+        }
         // The tuple-bundle engine: it samples the same worlds as the
         // row-at-a-time `DirectEngine` at a quarter of the cost per world
         // on a refine step's 10-world window (see `jigsaw_pdb::exec`).
@@ -394,6 +432,8 @@ struct Conn {
     /// Shared with the server's connection table, through which shutdown
     /// unblocks this thread.
     stream: Arc<TcpStream>,
+    /// Every frame is read through this buffer.
+    frames: FrameBuf,
     /// `None` before `COMPILE`, and after a request panicked.
     session: Option<Session>,
     /// When the last reply was written (`None` before the first).
@@ -418,7 +458,7 @@ pub(crate) fn serve(stream: Arc<TcpStream>, state: &ServerState) {
 
 impl Conn {
     fn new(stream: Arc<TcpStream>) -> Conn {
-        Conn { stream, session: None, replied: None, short_gaps: 0 }
+        Conn { stream, frames: FrameBuf::new(), session: None, replied: None, short_gaps: 0 }
     }
 
     /// Read a frame, execute it, write its reply; repeat until a clean EOF
@@ -448,12 +488,14 @@ impl Conn {
     }
 
     /// Wait for the next frame and read it: a hot connection polls first
-    /// (see the module docs), then the one frame parser reads it from the
-    /// blocking socket. Counts the frame in `jigsaw_conn_waits_total` and
-    /// recomputes hotness from its gap to the last reply.
+    /// (see the module docs), then the one frame parser reads it through
+    /// the connection's buffer from the blocking socket. Counts the frame in
+    /// `jigsaw_conn_waits_total` and recomputes hotness from its gap to the
+    /// last reply.
     fn next_frame(&mut self, state: &ServerState) -> Result<Option<String>, ProtocolError> {
-        let spun = self.short_gaps >= HOT_STREAK && spin(&self.stream, &state.spin);
-        let frame = read_frame(&mut &*self.stream)?;
+        let spun = self.short_gaps >= HOT_STREAK
+            && spin(&mut self.frames, &self.stream, &state.spin, SPIN_BUDGET);
+        let frame = self.frames.read_frame(&*self.stream)?;
         if frame.is_some() {
             let obs = conn_obs();
             let waits = if spun { &obs.waits_spun } else { &obs.waits_parked };
@@ -929,6 +971,25 @@ mod tests {
 
     fn spinning(state: &ServerState) -> usize {
         state.spin.busy.load(Ordering::Relaxed)
+    }
+
+    /// Buffered bytes come first: a frame that arrived with the one before
+    /// it is ready for the wait routine at once, even with every slot
+    /// taken, so a pipelined request never waits on the socket.
+    #[test]
+    fn a_buffered_frame_is_ready_without_a_slot() {
+        let (mut conn, mut client) = pair();
+        let mut two = Vec::new();
+        send_request(&mut two, &Request::Hello { version: PROTOCOL_VERSION }).expect("encode");
+        send_request(&mut two, &Request::Stats).expect("encode");
+        client.write_all(&two).expect("send both");
+        let slots = SpinSlots::new();
+        let _taken: Vec<_> = (0..slots.cap).map(|_| slots.take().expect("a free slot")).collect();
+        let first = conn.frames.read_frame(&*conn.stream).expect("a whole frame");
+        assert_eq!(first, Some(Request::Hello { version: PROTOCOL_VERSION }.encode()));
+        assert!(spin(&mut conn.frames, &conn.stream, &slots, SPIN_BUDGET));
+        let second = conn.frames.read_frame(&*conn.stream).expect("a whole frame");
+        assert_eq!(second.as_deref(), Some("STATS"));
     }
 
     #[test]

@@ -6,12 +6,17 @@
 //! ([`protocol`]). Every connection is served by a blocking thread of its
 //! own, which reads a frame, executes it and writes the reply, so one
 //! client's sweep (or a client that stops reading) never stalls another's.
-//! A connection whose client sent its last three requests each within
-//! 100 µs of a reply is *hot*: its thread polls the socket for up to that
-//! budget before it blocks in `read`, which spares a closed-loop client a
-//! park and a wake per request; a server-wide cap keeps one core free of
-//! polling threads, and `jigsaw_conn_waits_total{how}` counts which way
-//! each frame's wait ended.
+//! Both ends of a connection read every frame through a receive buffer,
+//! so a frame that has fully arrived costs one `read`, and wait for it
+//! through one routine: a *hot* waiter polls its socket for a short budget
+//! before it blocks in `read`, which spares a closed-loop exchange a park
+//! and a wake per request on each end. A server connection is hot when its
+//! client sent its last three requests each within 100 µs of a reply; a
+//! [`Client`] is hot while its polls keep succeeding. Caps keep one core
+//! free of polling threads, server-wide and client-wide, and
+//! `jigsaw_conn_waits_total{how}` and `jigsaw_client_waits_total{how}`
+//! count which way each frame's wait ended. A scenario of more than
+//! [`MAX_SPACE_POINTS`] points is refused at `COMPILE`.
 //! Every client connection compiles its scenario against the server's
 //! model catalog and attaches to the **one shared warm
 //! [`SharedBasisStore`](jigsaw_core::SharedBasisStore)** for that
@@ -50,6 +55,7 @@
 //! handle.shutdown().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;
@@ -60,6 +66,6 @@ mod server;
 
 pub use catalog::default_catalog;
 pub use client::Client;
-pub use conn::MAX_TICKS_PER_REQUEST;
+pub use conn::{MAX_SPACE_POINTS, MAX_TICKS_PER_REQUEST};
 pub use protocol::{ErrorCode, ProtocolError, Request, Response, PROTOCOL_VERSION};
 pub use server::{JigsawServer, ServerBuilder, ServerHandle};

@@ -189,6 +189,79 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtocolError> {
     String::from_utf8(payload).map(Some).map_err(|_| ProtocolError::NotUtf8)
 }
 
+/// How many bytes one refill of a [`FrameBuf`] asks for. Every request but
+/// a long `COMPILE`, and every reply but `METRICS`, fits many times over; a
+/// payload at least this long is read past the buffer, straight into its
+/// own allocation.
+const RECV_BUF: usize = 8 * 1024;
+
+/// The receive buffer of one end of a connection. Every frame that end
+/// reads goes through it, parsed by the one parser, [`read_frame`]; a
+/// refill is one `read` of whatever has arrived. So a frame that has fully
+/// arrived costs one `read`, and a frame already in the buffer — the second
+/// of two pipelined requests, the next frame of a `SUBSCRIBE` stream —
+/// costs none.
+///
+/// The buffer does not own the socket: each call takes the reader, so both
+/// ends read through `&TcpStream` and share the one descriptor with their
+/// writes (and, on the server, with the connection table that shuts it
+/// down).
+pub(crate) struct FrameBuf {
+    buf: Box<[u8]>,
+    /// The unread bytes are `buf[pos..end]`.
+    pos: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    pub(crate) fn new() -> FrameBuf {
+        FrameBuf { buf: vec![0; RECV_BUF].into_boxed_slice(), pos: 0, end: 0 }
+    }
+
+    /// Whether no unread byte is waiting.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pos == self.end
+    }
+
+    /// Refill the empty buffer with one `read` from `inner`: the bytes read,
+    /// 0 at the end of the stream. On an error the buffer stays empty.
+    pub(crate) fn fill(&mut self, mut inner: impl Read) -> std::io::Result<usize> {
+        assert!(self.is_empty(), "a refill would drop unread bytes");
+        let n = inner.read(&mut self.buf)?;
+        (self.pos, self.end) = (0, n);
+        Ok(n)
+    }
+
+    /// Read one frame: [`read_frame`] over the buffered bytes first, then
+    /// over refills from `inner`.
+    pub(crate) fn read_frame(&mut self, inner: impl Read) -> Result<Option<String>, ProtocolError> {
+        read_frame(&mut Buffered { buf: self, inner })
+    }
+}
+
+/// A [`FrameBuf`] and the source it refills from: the `Read` the parser
+/// sees.
+struct Buffered<'a, R> {
+    buf: &'a mut FrameBuf,
+    inner: R,
+}
+
+impl<R: Read> Read for Buffered<'_, R> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let buf = &mut *self.buf;
+        if buf.is_empty() {
+            if out.len() >= buf.buf.len() {
+                return self.inner.read(out);
+            }
+            buf.fill(&mut self.inner)?;
+        }
+        let n = out.len().min(buf.end - buf.pos);
+        out[..n].copy_from_slice(&buf.buf[buf.pos..buf.pos + n]);
+        buf.pos += n;
+        Ok(n)
+    }
+}
+
 /// Split a frame payload into its verb, its space-separated arguments and
 /// the body after the first newline, which only `body_verb` may carry.
 fn split_payload<'a>(
@@ -814,8 +887,118 @@ pub fn recv_response(r: &mut impl Read) -> Result<Option<Response>, ProtocolErro
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// A reader or writer that counts its `read` and `write` calls — the
+    /// system calls each would be on a socket.
+    pub(crate) struct Counting<T> {
+        inner: T,
+        pub(crate) reads: usize,
+        pub(crate) writes: usize,
+    }
+
+    impl<T> Counting<T> {
+        pub(crate) fn new(inner: T) -> Counting<T> {
+            Counting { inner, reads: 0, writes: 0 }
+        }
+    }
+
+    impl<T: Read> Read for Counting<T> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(out)
+        }
+    }
+
+    impl<T: Write> Write for Counting<T> {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.inner.write(bytes)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A socket's receive side as a queue of arrivals: a `read` returns
+    /// bytes of one arrival at most, as `recv` returns what has arrived.
+    struct Arrivals(VecDeque<Vec<u8>>);
+
+    impl Read for Arrivals {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let Some(front) = self.0.front_mut() else { return Ok(0) };
+            let n = out.len().min(front.len());
+            out[..n].copy_from_slice(&front[..n]);
+            front.drain(..n);
+            if front.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    fn framed(payload: &str) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).unwrap();
+        frame
+    }
+
+    #[test]
+    fn every_frame_costs_one_write() {
+        let mut sink = Counting::new(Vec::new());
+        for payload in ["ESTIMATE 4 0", "SWEEP", &"x".repeat(3 * RECV_BUF)] {
+            write_frame(&mut sink, payload).unwrap();
+        }
+        assert_eq!(sink.writes, 3);
+    }
+
+    #[test]
+    fn a_frame_that_has_arrived_costs_one_read() {
+        let arrivals = ["HELLO 3", "ESTIMATE 4 0"].map(framed);
+        let mut src = Counting::new(Arrivals(arrivals.into()));
+        let mut frames = FrameBuf::new();
+        assert_eq!(frames.read_frame(&mut src).unwrap().as_deref(), Some("HELLO 3"));
+        assert_eq!(src.reads, 1);
+        assert_eq!(frames.read_frame(&mut src).unwrap().as_deref(), Some("ESTIMATE 4 0"));
+        assert_eq!(src.reads, 2);
+        assert_eq!(frames.read_frame(&mut src).unwrap(), None, "clean EOF between frames");
+    }
+
+    #[test]
+    fn frames_that_arrived_together_cost_one_read_and_a_buffered_frame_none() {
+        let together = [framed("FOCUS 9"), framed("ESTIMATE 9 0")].concat();
+        let mut src = Counting::new(Arrivals(VecDeque::from([together])));
+        let mut frames = FrameBuf::new();
+        assert_eq!(frames.read_frame(&mut src).unwrap().as_deref(), Some("FOCUS 9"));
+        assert_eq!(src.reads, 1);
+        assert!(!frames.is_empty(), "the second frame waits in the buffer");
+        assert_eq!(frames.read_frame(&mut src).unwrap().as_deref(), Some("ESTIMATE 9 0"));
+        assert_eq!(src.reads, 1, "a buffered frame costs no read");
+    }
+
+    #[test]
+    fn frames_of_any_size_in_any_arrival_pattern_are_read_intact() {
+        let payloads: Vec<String> = [0, 1, RECV_BUF - 5, RECV_BUF - 4, RECV_BUF, 3 * RECV_BUF + 7]
+            .iter()
+            .map(|&n| "y".repeat(n))
+            .collect();
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| framed(p)).collect();
+        for chunk in [1, 3, 1000, RECV_BUF + 1, stream.len()] {
+            let arrivals = stream.chunks(chunk).map(<[u8]>::to_vec).collect();
+            let mut src = Arrivals(arrivals);
+            let mut frames = FrameBuf::new();
+            for p in &payloads {
+                assert_eq!(frames.read_frame(&mut src).unwrap().as_ref(), Some(p), "{chunk}");
+            }
+            assert_eq!(frames.read_frame(&mut src).unwrap(), None);
+        }
+        let cut = framed("SWEEP");
+        let mut src = Arrivals(VecDeque::from([cut[..6].to_vec()]));
+        assert!(matches!(FrameBuf::new().read_frame(&mut src), Err(ProtocolError::Truncated)));
+    }
 
     #[test]
     fn frame_roundtrip() {

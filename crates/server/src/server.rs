@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use jigsaw_core::basis::snapshot::write_atomic;
+use jigsaw_core::basis::snapshot::{remove_orphaned_temporaries, write_atomic};
 use jigsaw_core::basis::{StoreKey, StoreRegistry};
 use jigsaw_core::{JigsawConfig, PersistentPool};
 use jigsaw_obs::event;
@@ -182,7 +182,8 @@ impl ServerBuilder {
     }
 
     /// Enable `SAVE`/`LOAD` (and the shutdown re-snapshot) under this
-    /// directory.
+    /// directory. Binding creates it, and removes the temporaries that
+    /// snapshot writers killed mid-write left in it.
     pub fn snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.snapshot_dir = Some(dir.into());
         self
@@ -207,6 +208,7 @@ impl ServerBuilder {
         self.cfg.validate();
         if let Some(dir) = &self.snapshot_dir {
             std::fs::create_dir_all(dir)?;
+            remove_orphaned_temporaries(dir)?;
         }
         let listener = TcpListener::bind(addr)?;
         let state = ServerState {
@@ -370,5 +372,29 @@ impl ServerHandle {
     /// `jigsaw-server` binary).
     pub fn join(self) {
         let _ = self.acceptor.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn binding_removes_the_temporaries_of_dead_writers_only() {
+        let dir = std::env::temp_dir().join(format!("jigsaw-orphans-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("snapshot dir");
+        // No process has this pid: Linux caps pids at 2^22.
+        let orphan = dir.join(format!(".tmp-{}-0", u32::MAX));
+        let live = dir.join(format!(".tmp-{}-7", std::process::id()));
+        let snapshot = dir.join("warm-0123456789abcdef.snap");
+        for file in [&orphan, &live, &snapshot] {
+            std::fs::write(file, b"bytes").expect("write");
+        }
+        let server = JigsawServer::builder().snapshot_dir(&dir).bind("127.0.0.1:0").expect("bind");
+        assert_eq!(orphan.exists(), !cfg!(target_os = "linux"), "removed where pids are known");
+        assert!(live.exists(), "a live writer's temporary stays");
+        assert!(snapshot.exists());
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

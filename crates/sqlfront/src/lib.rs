@@ -21,6 +21,7 @@
 //! [`jigsaw_core::optimizer::OptimizeGoal`]s) → [`scenario`] execution.
 //! [`chainq`] adapts `CHAIN` scenarios to the core Markov-jump runner.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

@@ -44,6 +44,8 @@
 //! assert!(sweep.stats.reuse_rate() > 0.9, "affine models collapse to one basis");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use jigsaw_blackbox as blackbox;
 pub use jigsaw_core as core;
 pub use jigsaw_obs as obs;
