@@ -23,7 +23,9 @@
 #    when the response is ready), the twin sweep must show warm hits that
 #    never exceed swept points, the connection layer must count the
 #    scraping connection (accepted, and live while its own METRICS
-#    executes), and every frame read must be counted once as a wait.
+#    executes), every frame read must be counted once as a wait, and the
+#    store registry must report its one compiled scenario's store and a
+#    nonzero count of basis sample bytes.
 #
 # Outputs land in $OUT (default repro-out/). One line per passing gate goes
 # to $GITHUB_STEP_SUMMARY (stdout when unset).
@@ -92,6 +94,8 @@ awk '
   /^jigsaw_accepts_total /           { accepts=$2 }
   /^jigsaw_conns_live /              { live=$2 }
   /^jigsaw_requests_malformed_total / { malformed=$2 }
+  /^jigsaw_registry_stores /         { stores=$2 }
+  /^jigsaw_registry_bytes /          { rbytes=$2 }
   /^jigsaw_conn_waits_total\{/ {
     if ($1 == "jigsaw_conn_waits_total{how=\"spun\"}") spun=$2
     else if ($1 == "jigsaw_conn_waits_total{how=\"parked\"}") parked=$2
@@ -111,6 +115,10 @@ awk '
     else if (warm + 0 <= 0)      { print "twin sweep reported no warm hits"; bad=1 }
     else if (warm + 0 > pts + 0) { print "warm hits exceed swept points"; bad=1 }
     if (accepts + 0 < 1)         { print "expected >=1 accepted connection, saw " accepts; bad=1 }
+    # One COMPILE registers one store; its two sweeps committed bases.
+    if (stores == "" || rbytes == "") { print "registry gauges missing"; bad=1 }
+    else if (stores + 0 != 1)    { print "expected 1 registered store, saw " stores; bad=1 }
+    else if (rbytes + 0 <= 0)    { print "registry holds no basis sample bytes"; bad=1 }
     if (live + 0 < 1)            { print "expected >=1 live connection, saw " live; bad=1 }
     # Every frame read is counted once as a wait and once as a
     # request or a malformed frame; the frame of this scrape is
@@ -122,4 +130,4 @@ awk '
     exit bad
   }' "$OUT/metrics.txt"
 grep -q '^{"span":"conn.request"' "$OUT/metrics-server.log"
-passed "Mid-run METRICS scrape well-formed, per-verb and frame-wait counts consistent ✔"
+passed "Mid-run METRICS scrape well-formed, per-verb, frame-wait and registry counts consistent ✔"

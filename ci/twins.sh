@@ -10,7 +10,11 @@
 set -euo pipefail
 
 OUT=${OUT:-repro-out}
-SUMMARY=${GITHUB_STEP_SUMMARY:-/dev/stdout}
+# Appending to /dev/stdout would write at the end of a redirected log and be
+# overwritten by the script's later output, so print instead.
+passed() {
+  if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then echo "$1" >> "$GITHUB_STEP_SUMMARY"; else echo "$1"; fi
+}
 REPRO=./target/release/repro
 mkdir -p "$OUT"
 cargo build --release --quiet -p jigsaw-bench --bin repro
@@ -40,7 +44,7 @@ twin() {
   side "$2"
   side "$3"
   diff -u "$OUT/$(slug "$2").md" "$OUT/$(slug "$3").md"
-  echo "- $1: \`$2\` ≡ \`$3\` ✔" >> "$SUMMARY"
+  passed "- $1: \`$2\` ≡ \`$3\` ✔"
 }
 
 twin "thread budgets" "--threads 1" "--threads 4"

@@ -5,11 +5,25 @@ use jigsaw_prng::Seed;
 /// A parameterized stochastic black-box function (a scalar VG-function).
 ///
 /// The engine interacts with implementations *only* through
-/// [`eval`](BlackBox::eval): no continuity, monotonicity, or distributional
-/// assumptions are made (paper §1). Determinism contract: `eval(p, σ)` must
-/// return the same value for the same `(p, σ)` — all randomness must come
-/// from a generator seeded with `σ` (usually via
+/// [`eval`](BlackBox::eval) and its batched form
+/// [`eval_seeds`](BlackBox::eval_seeds): no continuity, monotonicity, or
+/// distributional assumptions are made (paper §1). Determinism contract:
+/// `eval(p, σ)` must return the same value for the same `(p, σ)` — all
+/// randomness must come from a generator seeded with `σ` (usually via
 /// [`jigsaw_prng::Xoshiro256pp::seeded`]).
+///
+/// ## One call per window of worlds
+///
+/// MCDB invokes a VG function once per tuple for a whole bundle of Monte
+/// Carlo instances; [`eval_seeds`](BlackBox::eval_seeds) is that shape here:
+/// one parameter point, many seeds, one call. Its contract is
+/// `out[i] == eval(params, seeds[i])` **bit for bit**, so a caller may use
+/// either form and get the same bytes. The provided method is the per-seed
+/// `eval` loop; a model overrides it only to compute the same values
+/// faster (`SynthBasis` and `Demand` stage their normal draws through
+/// [`jigsaw_prng::dist::Normal::standard_seeded`]). Wrappers — `&B`,
+/// `Arc<B>`, [`Counted`](crate::Counted) — forward it, so an override is
+/// reached through `Arc<dyn BlackBox>` too.
 pub trait BlackBox: Send + Sync {
     /// Human-readable name, used in catalogs, plans and reports.
     fn name(&self) -> &str;
@@ -22,6 +36,19 @@ pub trait BlackBox: Send + Sync {
     /// `params.len()` must equal [`arity`](BlackBox::arity); implementations
     /// may assert this.
     fn eval(&self, params: &[f64], seed: Seed) -> f64;
+
+    /// Evaluate at `params` once per seed: `out[i] = eval(params, seeds[i])`,
+    /// bit for bit (see the trait docs). The default is that loop.
+    ///
+    /// # Panics
+    ///
+    /// When `seeds` and `out` differ in length.
+    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        assert_eq!(seeds.len(), out.len(), "one output per seed");
+        for (o, &seed) in out.iter_mut().zip(seeds) {
+            *o = self.eval(params, seed);
+        }
+    }
 }
 
 /// Blanket implementation so engines can hold `Box<dyn BlackBox>` behind
@@ -36,6 +63,9 @@ impl<B: BlackBox + ?Sized> BlackBox for &B {
     fn eval(&self, params: &[f64], seed: Seed) -> f64 {
         (**self).eval(params, seed)
     }
+    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        (**self).eval_seeds(params, seeds, out)
+    }
 }
 
 impl<B: BlackBox + ?Sized> BlackBox for std::sync::Arc<B> {
@@ -47,6 +77,9 @@ impl<B: BlackBox + ?Sized> BlackBox for std::sync::Arc<B> {
     }
     fn eval(&self, params: &[f64], seed: Seed) -> f64 {
         (**self).eval(params, seed)
+    }
+    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        (**self).eval_seeds(params, seeds, out)
     }
 }
 
@@ -154,6 +187,48 @@ mod tests {
     fn fn_blackbox_checks_arity() {
         let bb = FnBlackBox::new("one", 1, |p: &[f64], _s| p[0]);
         let _ = bb.eval(&[1.0, 2.0], Seed(0));
+    }
+
+    /// Counts `eval_seeds` calls, so the forwarding tests can tell an
+    /// override reached through a wrapper from the default loop.
+    struct Batched(std::sync::atomic::AtomicUsize);
+
+    impl BlackBox for Batched {
+        fn name(&self) -> &str {
+            "batched"
+        }
+        fn arity(&self) -> usize {
+            0
+        }
+        fn eval(&self, _: &[f64], seed: Seed) -> f64 {
+            seed.0 as f64
+        }
+        fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for (o, &s) in out.iter_mut().zip(seeds) {
+                *o = self.eval(params, s);
+            }
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_eval_seeds_to_the_override() {
+        let seeds = [Seed(3), Seed(5), Seed(8)];
+        let inner = std::sync::Arc::new(Batched(Default::default()));
+        let as_dyn: std::sync::Arc<dyn BlackBox> = inner.clone();
+        let by_ref: &dyn BlackBox = &*inner;
+        let mut out = [0.0; 3];
+        as_dyn.eval_seeds(&[], &seeds, &mut out);
+        (&by_ref).eval_seeds(&[], &seeds, &mut out);
+        assert_eq!(out, [3.0, 5.0, 8.0]);
+        assert_eq!(inner.0.load(std::sync::atomic::Ordering::Relaxed), 2, "one call each");
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per seed")]
+    fn eval_seeds_rejects_mismatched_lengths() {
+        let bb = FnBlackBox::new("one", 1, |p: &[f64], _s| p[0]);
+        bb.eval_seeds(&[1.0], &[Seed(0)], &mut [0.0, 0.0]);
     }
 
     #[test]

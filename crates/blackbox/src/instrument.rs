@@ -38,11 +38,20 @@ impl InvocationCounter {
     /// Record one invocation.
     #[inline]
     pub fn bump(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.bump_by(1);
+    }
+
+    /// Record `n` invocations (one batched call over `n` seeds).
+    #[inline]
+    pub fn bump_by(&self, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
     }
 }
 
-/// A [`BlackBox`] wrapper that counts invocations.
+/// A [`BlackBox`] wrapper that counts invocations: one per `eval`, and
+/// `seeds.len()` per [`BlackBox::eval_seeds`] — a batched call still
+/// evaluates the function once per seed, so counts do not depend on which
+/// form a caller used.
 pub struct Counted<B> {
     inner: B,
     counter: InvocationCounter,
@@ -82,6 +91,10 @@ impl<B: BlackBox> BlackBox for Counted<B> {
     fn eval(&self, params: &[f64], seed: Seed) -> f64 {
         self.counter.bump();
         self.inner.eval(params, seed)
+    }
+    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        self.counter.bump_by(seeds.len() as u64);
+        self.inner.eval_seeds(params, seeds, out)
     }
 }
 

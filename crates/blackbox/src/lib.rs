@@ -10,7 +10,11 @@
 //! This crate provides:
 //!
 //! * [`BlackBox`] / [`MarkovModel`] — the two function shapes Jigsaw
-//!   evaluates (one-shot parameterized, and chained Markov-process steps);
+//!   evaluates (one-shot parameterized, and chained Markov-process steps).
+//!   A black box is evaluated per seed ([`BlackBox::eval`]) or per window
+//!   of seeds ([`BlackBox::eval_seeds`], one call for many worlds, as MCDB
+//!   calls a VG function once per tuple bundle); the two agree bit for
+//!   bit, and the wrappers forward the batched form;
 //! * [`ParamDecl`] / [`ParamSpace`] — `DECLARE PARAMETER` domains and the
 //!   Cartesian parameter-space enumerator (the *Parameter Enumerator* of
 //!   Figure 3);

@@ -97,6 +97,18 @@ impl BlackBox for Demand {
         let mut rng = Xoshiro256pp::seeded(seed);
         mu + var.max(0.0).sqrt() * Normal::standard(&mut rng)
     }
+
+    /// The same values as the `eval` loop, bit for bit, with the normal
+    /// draws staged over the whole window (one arity check per call, the
+    /// synthetic work still once per world).
+    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        assert_eq!(params.len(), 2, "Demand expects [current_week, feature_release]");
+        seeds.iter().for_each(|_| self.work.burn());
+        Normal::standard_seeded(seeds, out);
+        let (mu, var) = self.moments_at(params[0], params[1]);
+        let sd = var.max(0.0).sqrt();
+        out.iter_mut().for_each(|z| *z = mu + sd * *z);
+    }
 }
 
 /// Algorithm 1 verbatim: separate draws per addend (see module docs).

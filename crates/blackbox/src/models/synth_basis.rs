@@ -66,16 +66,46 @@ impl BlackBox for SynthBasis {
     fn eval(&self, params: &[f64], seed: Seed) -> f64 {
         assert_eq!(params.len(), 1, "SynthBasis expects [point]");
         self.work.burn();
-        let point = params[0];
-        let class = self.class_of(point);
+        let z = Normal::standard(&mut Xoshiro256pp::seeded(seed));
+        self.skin(params[0]).apply(z)
+    }
+
+    /// The same values as the `eval` loop, bit for bit, with the normal
+    /// draws staged over the whole window (one arity check per call, the
+    /// synthetic work still once per world).
+    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        assert_eq!(params.len(), 1, "SynthBasis expects [point]");
+        seeds.iter().for_each(|_| self.work.burn());
+        Normal::standard_seeded(seeds, out);
+        let skin = self.skin(params[0]);
+        out.iter_mut().for_each(|x| *x = skin.apply(*x));
+    }
+}
+
+/// A point's class shape and generation skin, applied to its standard draw.
+struct Skin {
+    class: f64,
+    gain: f64,
+    offset: f64,
+}
+
+impl SynthBasis {
+    fn skin(&self, point: f64) -> Skin {
         let generation = (point.max(0.0) as usize) / self.n_bases;
-        let mut rng = Xoshiro256pp::seeded(seed);
-        let z = Normal::standard(&mut rng);
+        Skin {
+            class: self.class_of(point) as f64,
+            gain: 1.0 + 0.1 * generation as f64,
+            offset: 0.5 * generation as f64,
+        }
+    }
+}
+
+impl Skin {
+    #[inline]
+    fn apply(&self, z: f64) -> f64 {
         // Class-specific non-affine shape; generation-specific affine skin.
-        let shape = z + class as f64 * z * z;
-        let gain = 1.0 + 0.1 * generation as f64;
-        let offset = 0.5 * generation as f64;
-        gain * shape + offset
+        let shape = z + self.class * z * z;
+        self.gain * shape + self.offset
     }
 }
 

@@ -82,6 +82,8 @@ pub struct BasisStore {
     tolerance: f64,
     /// Bases staged (fingerprint registered, metrics pending commit).
     staged: usize,
+    /// Bytes of basis sample buffers: moved at commit and refine.
+    sample_bytes: usize,
     /// Mapping validations attempted (candidate pairings tested) — the
     /// quantity indexing exists to minimize (Figures 10/11).
     pub pairings_tested: u64,
@@ -106,6 +108,7 @@ impl BasisStore {
             family,
             tolerance,
             staged: 0,
+            sample_bytes: 0,
             pairings_tested: 0,
         }
     }
@@ -123,6 +126,12 @@ impl BasisStore {
     /// Number of staged bases whose metrics are still pending.
     pub fn staged(&self) -> usize {
         self.staged
+    }
+
+    /// Bytes held in basis sample buffers (`8 ×` samples over every
+    /// basis) — the store's share of `jigsaw_registry_bytes`.
+    pub fn sample_bytes(&self) -> usize {
+        self.sample_bytes
     }
 
     /// The bases (for reporting).
@@ -184,6 +193,7 @@ impl BasisStore {
     pub fn commit_staged(&mut self, id: BasisId, metrics: OutputMetrics) {
         debug_assert!(self.staged > 0, "no staged basis to commit");
         debug_assert_eq!(self.bases[id.0].metrics.n(), 0, "basis {id:?} committed twice");
+        self.sample_bytes += sample_bytes(metrics.n());
         self.bases[id.0].metrics = metrics;
         self.staged -= 1;
     }
@@ -196,6 +206,7 @@ impl BasisStore {
         if self.staged == 0 {
             return;
         }
+        // Staged bases hold no samples yet, so `sample_bytes` stays.
         self.bases.truncate(self.bases.len() - self.staged);
         self.staged = 0;
         self.index = make_index(self.strategy, self.tolerance);
@@ -207,7 +218,13 @@ impl BasisStore {
     /// Fold additional samples into a basis (interactive refinement).
     pub fn refine(&mut self, id: BasisId, samples: &[f64]) {
         self.bases[id.0].metrics.extend(samples);
+        self.sample_bytes += sample_bytes(samples.len());
     }
+}
+
+/// Bytes of `n` samples.
+fn sample_bytes(n: usize) -> usize {
+    n * std::mem::size_of::<f64>()
 }
 
 /// A read-only resolve view over a [`BasisStore`] — the frozen half of the
@@ -302,6 +319,11 @@ impl ShardedBasisStore {
     /// Total mapping validations attempted across all shards.
     pub fn pairings_total(&self) -> u64 {
         self.shards.iter().map(|s| s.pairings_tested).sum()
+    }
+
+    /// Bytes of basis sample buffers over every shard.
+    pub fn sample_bytes(&self) -> usize {
+        self.shards.iter().map(BasisStore::sample_bytes).sum()
     }
 
     /// Total staged-but-uncommitted bases (must be zero at a wave barrier's

@@ -46,7 +46,7 @@
 //! of dereferencing stale ids.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::basis::snapshot::SnapshotError;
@@ -61,6 +61,8 @@ struct StoreObs {
     stores_created: jigsaw_obs::Counter,
     snapshot_save_us: jigsaw_obs::Histogram,
     snapshot_save_bytes: jigsaw_obs::Histogram,
+    registry_stores: jigsaw_obs::Gauge,
+    registry_bytes: jigsaw_obs::Gauge,
 }
 
 fn store_obs() -> &'static StoreObs {
@@ -72,6 +74,8 @@ fn store_obs() -> &'static StoreObs {
             stores_created: g.counter("jigsaw_store_created_total", &[]),
             snapshot_save_us: g.histogram("jigsaw_store_snapshot_save_us", &[]),
             snapshot_save_bytes: g.histogram("jigsaw_store_snapshot_save_bytes", &[]),
+            registry_stores: g.gauge("jigsaw_registry_stores", &[]),
+            registry_bytes: g.gauge("jigsaw_registry_bytes", &[]),
         }
     })
 }
@@ -85,6 +89,12 @@ struct Inner {
     /// One shard per output column, fixed for the handle's lifetime
     /// ([`SharedBasisStore::replace`] keeps it).
     n_shards: usize,
+    /// Set once a [`StoreRegistry`] holds this store; from then on its
+    /// sample bytes count in `jigsaw_registry_bytes`.
+    registered: AtomicBool,
+    /// The sample bytes this store last added to `jigsaw_registry_bytes`.
+    /// Written only under the write lock.
+    counted_bytes: AtomicU64,
 }
 
 /// A cheaply-cloneable handle to one warm [`ShardedBasisStore`] shared by
@@ -123,6 +133,8 @@ impl SharedBasisStore {
                 n_shards: store.n_shards(),
                 store: RwLock::new(store),
                 generation: AtomicU64::new(0),
+                registered: AtomicBool::new(false),
+                counted_bytes: AtomicU64::new(0),
             }),
         }
     }
@@ -171,7 +183,9 @@ impl SharedBasisStore {
         f: impl FnOnce(u64, &mut ShardedBasisStore) -> R,
     ) -> R {
         let mut store = self.write();
-        f(self.generation(), &mut store)
+        let out = f(self.generation(), &mut store);
+        self.count_bytes(&store);
+        out
     }
 
     /// Run `f` with exclusive (write-locked) access to the store. Session
@@ -179,7 +193,10 @@ impl SharedBasisStore {
     /// outside the closure; a full sweep deliberately runs inside it — see
     /// the module docs on why that serialization is load-bearing.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut ShardedBasisStore) -> R) -> R {
-        f(&mut self.write())
+        let mut store = self.write();
+        let out = f(&mut store);
+        self.count_bytes(&store);
+        out
     }
 
     /// Replace the store wholesale (snapshot `LOAD`), returning the previous
@@ -191,6 +208,7 @@ impl SharedBasisStore {
         let mut current = self.write();
         let generation = self.inner.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let old = std::mem::replace(&mut *current, store);
+        self.count_bytes(&current);
         store_obs().replacements.inc();
         jigsaw_obs::event!("store.replace", generation = generation);
         old
@@ -218,6 +236,26 @@ impl SharedBasisStore {
             Ok(inner) => Ok(inner.store.into_inner().expect("shared basis store lock poisoned")),
             Err(inner) => Err(SharedBasisStore { inner }),
         }
+    }
+
+    /// Move `jigsaw_registry_bytes` by how far `store`'s sample bytes moved
+    /// since this store last counted them — a no-op until a registry holds
+    /// the store. Called under the write lock, after every mutation:
+    /// commits, refinements, replacements and discards alike.
+    fn count_bytes(&self, store: &ShardedBasisStore) {
+        if !self.inner.registered.load(Ordering::Relaxed) {
+            return;
+        }
+        let now = store.sample_bytes() as u64;
+        let before = self.inner.counted_bytes.swap(now, Ordering::Relaxed);
+        store_obs().registry_bytes.add(now as i64 - before as i64);
+    }
+
+    /// Count this store in the registry gauges from now on.
+    fn register(&self) {
+        let store = self.write();
+        self.inner.registered.store(true, Ordering::Relaxed);
+        self.count_bytes(&store);
     }
 
     fn read(&self) -> std::sync::RwLockReadGuard<'_, ShardedBasisStore> {
@@ -266,6 +304,11 @@ impl StoreRegistry {
     /// The store for `key`, creating it with `init` on first use. Two
     /// concurrent callers with the same key always receive handles to the
     /// same store.
+    ///
+    /// A created store is counted in the process-wide gauges
+    /// `jigsaw_registry_stores` (set here to this registry's size) and
+    /// `jigsaw_registry_bytes` (its basis sample bytes, moved at every
+    /// mutation from here on).
     pub fn get_or_create(
         &self,
         key: StoreKey,
@@ -275,7 +318,19 @@ impl StoreRegistry {
             return found;
         }
         let mut entries = self.entries.write().expect("store registry lock poisoned");
-        entries.entry(key).or_insert_with(init).clone()
+        let mut created = false;
+        let store = entries
+            .entry(key)
+            .or_insert_with(|| {
+                created = true;
+                init()
+            })
+            .clone();
+        if created {
+            store.register();
+            store_obs().registry_stores.set(entries.len() as i64);
+        }
+        store
     }
 
     /// Number of registered stores.
@@ -400,6 +455,44 @@ mod tests {
         let mut scopes: Vec<String> = reg.keys().into_iter().map(|k| k.scope).collect();
         scopes.sort();
         assert_eq!(scopes, vec!["s1", "s2"]);
+    }
+
+    #[test]
+    fn registered_stores_count_their_sample_bytes_at_every_mutation() {
+        let c = cfg();
+        let reg = StoreRegistry::new();
+        let key = StoreKey { scope: "bytes".into(), config_fp: 1 };
+        let shared =
+            reg.get_or_create(key, || SharedBasisStore::new(2, &c, Arc::new(AffineFamily)));
+        let counted = || shared.inner.counted_bytes.load(Ordering::Relaxed);
+        assert_eq!(counted(), 0);
+        // Commit: a 4-sample basis in each column.
+        insert_basis(&shared, 0, &[0.0, 1.0, 2.0, 3.0]);
+        insert_basis(&shared, 1, &[0.0, 1.0, 4.0, 9.0]);
+        assert_eq!(counted(), 64);
+        // Refine: two more samples.
+        shared.with_store_mut(|s| s.shard_mut(0).refine(crate::basis::BasisId(0), &[4.0, 5.0]));
+        assert_eq!(counted(), 80);
+        // Discard: a staged basis holds no samples, and dropping it moves
+        // nothing.
+        shared.with_store_mut(|s| {
+            s.shard_mut(1).stage(Fingerprint::new(vec![7.0, 1.0, 3.0, 2.0]));
+            s.discard_staged();
+        });
+        assert_eq!(counted(), 80);
+        // Replace: the new contents' bytes.
+        shared.replace(ShardedBasisStore::new(2, &c, Arc::new(AffineFamily)));
+        assert_eq!(counted(), 0);
+        assert_eq!(shared.with_store(ShardedBasisStore::sample_bytes), 0);
+    }
+
+    #[test]
+    fn unregistered_stores_stay_out_of_the_registry_gauge() {
+        let c = cfg();
+        let shared = SharedBasisStore::new(1, &c, Arc::new(AffineFamily));
+        insert_basis(&shared, 0, &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(shared.with_store(ShardedBasisStore::sample_bytes), 32);
+        assert_eq!(shared.inner.counted_bytes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

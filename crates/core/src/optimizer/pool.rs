@@ -25,12 +25,38 @@
 //! different scenarios — queue rather than oversubscribe the budget.
 //! Nested scatters from inside a task would deadlock on that gate; the
 //! executor never does this.
+//!
+//! ## The hot wait
+//!
+//! A sweep scatters three times per wave, and between two scatters the
+//! caller runs the wave's sequential resolve and commit alone — about
+//! 110 µs per 128-point wave on a 2-vCPU host. A worker that parks in that
+//! gap pays a park and a wake, tens of µs, at every scatter. So both ends
+//! poll before they park, for at most `HOT_WAIT` (200 µs):
+//!
+//! - a worker that finished a job polls an atomic mirror of the job epoch
+//!   (`spin_loop`, with a `yield_now` every few polls) for the next job,
+//!   and only then parks on the condvar;
+//! - the scattering caller, its own seat drained, polls the job's
+//!   completion counter before it parks on `done`;
+//! - publishing a job and finishing one notify a condvar only when someone
+//!   is parked on it;
+//! - shutdown ends a polling worker as it ends a parked one: the poll
+//!   watches the shutdown flag too.
+//!
+//! Each wait counts once in `jigsaw_pool_waits_total{side, how}`
+//! (`side="worker"|"caller"`, `how="spun"|"parked"`), the way
+//! `jigsaw_conn_waits_total` counts a connection's frame waits. A budget of
+//! one thread spawns no workers and never waits, so the server's default
+//! `threads: 1` is untouched; between sweeps the workers park after one
+//! budget.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use super::executor::WorkerPool;
 
@@ -74,6 +100,38 @@ struct Job {
     panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
 }
 
+/// How long a worker polls for the next job, and the scattering caller for
+/// its job's last task, before parking. Sized to cover a wave's sequential
+/// resolve and commit (≈ 112 µs per 128-point wave on a 2-vCPU host, from
+/// 13.4 ms and 4.2 ms over `sweep_reuse`'s 157 waves), so a sweep's
+/// workers stay awake across the scatters of a wave and park between
+/// sweeps.
+const HOT_WAIT: Duration = Duration::from_micros(200);
+
+/// Polls between two looks at the clock; each such look also yields.
+const POLLS_PER_YIELD: u32 = 64;
+
+/// Poll `ready` for at most `budget`: `true` as soon as it holds, `false`
+/// once the budget is spent.
+fn poll(budget: Duration, ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    let mut polls = 0u32;
+    loop {
+        if ready() {
+            return true;
+        }
+        polls += 1;
+        if polls.is_multiple_of(POLLS_PER_YIELD) {
+            if start.elapsed() >= budget {
+                return false;
+            }
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
 #[derive(Default)]
 struct PoolState {
     /// Bumped once per published job; workers use it to tell a fresh job
@@ -84,6 +142,11 @@ struct PoolState {
     /// which is what makes [`PersistentPool::spawned_workers`] exact).
     started: usize,
     shutdown: bool,
+    /// Workers parked on `work` (a publisher notifies only when some are).
+    parked_workers: usize,
+    /// The scattering caller is parked on `done` (the last task's finisher
+    /// notifies only then).
+    caller_parked: bool,
 }
 
 #[derive(Default)]
@@ -94,6 +157,11 @@ struct Shared {
     /// The scattering caller parks here until the job completes (also used
     /// once at construction for the startup barrier).
     done: Condvar,
+    /// Mirror of `state.epoch`, written under the lock, that polling
+    /// workers read without it.
+    epoch: AtomicU64,
+    /// Mirror of `state.shutdown`, so shutdown ends a polling worker.
+    shutdown: AtomicBool,
 }
 
 /// A [`WorkerPool`] whose worker threads are spawned **once** — at
@@ -162,8 +230,10 @@ impl std::fmt::Debug for PersistentPool {
 /// Handles to the pool's global instruments (see `jigsaw_obs`);
 /// registered once, lock-free to update, purely observational.
 struct PoolObs {
-    parks: jigsaw_obs::Counter,
-    wakes: jigsaw_obs::Counter,
+    worker_spun: jigsaw_obs::Counter,
+    worker_parked: jigsaw_obs::Counter,
+    caller_spun: jigsaw_obs::Counter,
+    caller_parked: jigsaw_obs::Counter,
     scatters: jigsaw_obs::Counter,
     tasks: jigsaw_obs::Histogram,
     workers: jigsaw_obs::Gauge,
@@ -173,9 +243,13 @@ fn pool_obs() -> &'static PoolObs {
     static OBS: std::sync::OnceLock<PoolObs> = std::sync::OnceLock::new();
     OBS.get_or_init(|| {
         let g = jigsaw_obs::global();
+        let waits =
+            |side, how| g.counter("jigsaw_pool_waits_total", &[("side", side), ("how", how)]);
         PoolObs {
-            parks: g.counter("jigsaw_pool_parks_total", &[]),
-            wakes: g.counter("jigsaw_pool_wakes_total", &[]),
+            worker_spun: waits("worker", "spun"),
+            worker_parked: waits("worker", "parked"),
+            caller_spun: waits("caller", "spun"),
+            caller_parked: waits("caller", "parked"),
             scatters: g.counter("jigsaw_pool_scatters_total", &[]),
             tasks: g.histogram("jigsaw_pool_tasks_per_scatter", &[]),
             workers: g.gauge("jigsaw_pool_workers", &[]),
@@ -192,6 +266,15 @@ fn worker_loop(shared: &Shared) {
     }
     let mut seen_epoch = 0u64;
     loop {
+        // One wait per job: spun if the next job (or shutdown) showed up
+        // within the budget, parked otherwise — however often the condvar
+        // wakes before it does.
+        let spun = poll(HOT_WAIT, || {
+            shared.epoch.load(Ordering::Acquire) != seen_epoch
+                || shared.shutdown.load(Ordering::Acquire)
+        });
+        let obs = pool_obs();
+        if spun { &obs.worker_spun } else { &obs.worker_parked }.inc();
         let job = {
             let mut st = shared.state.lock().expect("pool state poisoned");
             loop {
@@ -201,18 +284,21 @@ fn worker_loop(shared: &Shared) {
                 if st.epoch != seen_epoch {
                     seen_epoch = st.epoch;
                     // The job may already be retired (scatter finished
-                    // before this worker woke); then just park again.
+                    // before this worker looked); then wait again.
                     if let Some(job) = st.job.clone() {
-                        pool_obs().wakes.inc();
-                        break job;
+                        break Some(job);
                     }
+                    break None;
                 }
-                pool_obs().parks.inc();
+                st.parked_workers += 1;
                 st = shared.work.wait(st).expect("pool state poisoned");
+                st.parked_workers -= 1;
             }
         };
-        if job.seats.fetch_add(1, Ordering::AcqRel) < job.seat_limit {
-            drain(&job, shared);
+        if let Some(job) = job {
+            if job.seats.fetch_add(1, Ordering::AcqRel) < job.seat_limit {
+                drain(&job, shared);
+            }
         }
     }
 }
@@ -235,10 +321,13 @@ fn drain(job: &Job, shared: &Shared) {
             job.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
         }
         if job.finished.fetch_add(1, Ordering::AcqRel) + 1 == job.n_tasks {
-            // Touch the lock before notifying so the wakeup cannot slip
-            // between the caller's counter check and its wait.
-            drop(shared.state.lock().expect("pool state poisoned"));
-            shared.done.notify_all();
+            // Read the caller's parked flag under the lock, so the wakeup
+            // cannot slip between its counter check and its wait; a
+            // polling caller sees the counter without one.
+            let caller_parked = shared.state.lock().expect("pool state poisoned").caller_parked;
+            if caller_parked {
+                shared.done.notify_all();
+            }
         }
     }
 }
@@ -274,17 +363,28 @@ impl WorkerPool for PersistentPool {
             seat_limit: threads - 1,
             panic: Arc::new(Mutex::new(None)),
         };
-        {
+        let parked_workers = {
             let mut st = self.shared.state.lock().expect("pool state poisoned");
             st.epoch += 1;
             st.job = Some(job.clone());
+            self.shared.epoch.store(st.epoch, Ordering::Release);
+            st.parked_workers
+        };
+        // Polling workers see the epoch; only parked ones need the condvar.
+        if parked_workers > 0 {
+            self.shared.work.notify_all();
         }
-        self.shared.work.notify_all();
-        // Participate from the calling thread, then wait out the stragglers.
+        // Participate from the calling thread, then wait out the stragglers:
+        // poll first, park only past the budget.
         drain(&job, &self.shared);
+        let all_done = || job.finished.load(Ordering::Acquire) == n_tasks;
+        let spun = poll(HOT_WAIT, all_done);
+        if spun { &obs.caller_spun } else { &obs.caller_parked }.inc();
         let mut st = self.shared.state.lock().expect("pool state poisoned");
-        while job.finished.load(Ordering::Acquire) < n_tasks {
+        while !all_done() {
+            st.caller_parked = true;
             st = self.shared.done.wait(st).expect("pool state poisoned");
+            st.caller_parked = false;
         }
         // Retire the job before `run`'s borrow ends: after this, no worker
         // can clone the erased pointer (and clones taken earlier find the
@@ -303,6 +403,7 @@ impl Drop for PersistentPool {
     fn drop(&mut self) {
         pool_obs().workers.add(-(self.spawn_count as i64));
         self.shared.state.lock().expect("pool state poisoned").shutdown = true;
+        self.shared.shutdown.store(true, Ordering::Release);
         self.shared.work.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -377,6 +478,76 @@ mod tests {
             live2.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
+    }
+
+    /// Block until `n` workers are parked on the condvar — past their hot
+    /// wait. A liveness wait, not a timing assertion: it only bounds how
+    /// long a wedged pool may hang the test.
+    fn wait_until_parked(pool: &PersistentPool, n: usize) {
+        for _ in 0..20_000 {
+            if pool.shared.state.lock().unwrap().parked_workers == n {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("workers never parked");
+    }
+
+    #[test]
+    fn a_scatter_after_an_idle_gap_longer_than_the_hot_wait_runs_every_task_once() {
+        let pool = PersistentPool::new(3);
+        for round in 0..4 {
+            std::thread::sleep(2 * HOT_WAIT);
+            wait_until_parked(&pool, 2);
+            let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
+            pool.scatter(3, hits.len(), &|t| {
+                hits[t].fetch_add(1, Ordering::SeqCst);
+            });
+            for (t, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::SeqCst), 1, "round {round} task {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_a_pool_whose_workers_poll_joins_them() {
+        // Right after a scatter the workers are inside their hot wait (or
+        // just past it); drop must end them either way, and join.
+        for _ in 0..20 {
+            let pool = PersistentPool::new(4);
+            let ran = AtomicUsize::new(0);
+            pool.scatter(4, 32, &|_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(ran.load(Ordering::SeqCst), 32);
+            drop(pool);
+        }
+    }
+
+    #[test]
+    fn scatters_past_the_hot_wait_park_and_wake_correctly() {
+        // Alternate scatters that find their workers polling (back to
+        // back) with scatters that find them parked (after an idle gap):
+        // every task runs once, and parked workers wake and serve.
+        let pool = PersistentPool::new(3);
+        for round in 0..6 {
+            if round % 2 == 1 {
+                wait_until_parked(&pool, 2);
+            }
+            let ids = Mutex::new(HashSet::new());
+            let hits: Vec<AtomicUsize> = (0..48).map(|_| AtomicUsize::new(0)).collect();
+            for _ in 0..3 {
+                hits.iter().for_each(|h| h.store(0, Ordering::SeqCst));
+                pool.scatter(3, hits.len(), &|t| {
+                    hits[t].fetch_add(1, Ordering::SeqCst);
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1), "round {round}");
+            }
+            assert!(ids.into_inner().unwrap().len() > 1, "round {round}: no worker served");
+        }
+        assert_eq!(pool.spawned_workers(), 2);
     }
 
     fn demand_sim() -> BlackBoxSim {

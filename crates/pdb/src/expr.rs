@@ -34,6 +34,7 @@ use crate::catalog::Catalog;
 use crate::error::{PdbError, Result};
 use crate::exec::ExecContext;
 use crate::schema::Schema;
+use crate::sim::eval_derived;
 use crate::value::Value;
 
 /// Binary arithmetic operators.
@@ -337,23 +338,78 @@ fn num_view<'a>(c: &'a BundleCell, what: &'static str) -> Result<NumView<'a>> {
     }
 }
 
-/// A bundle cell viewed as a truth operand (SQL truthiness: nonzero and
-/// non-NaN; deterministic non-booleans are falsy).
+/// A bundle cell viewed as a truth operand in SQL's three-valued logic: a
+/// per-world column of booleans holds true as 1.0 (any nonzero reads as
+/// true), false as 0.0 and NULL (unknown) as NaN; a deterministic cell is
+/// its boolean, and any non-boolean (NULL included) is unknown, as in
+/// [`Expr::eval_scalar`].
 enum BoolView<'a> {
-    Const(bool),
+    Const(f64),
     Col(&'a [f64]),
 }
 
 fn bool_view(c: &BundleCell) -> BoolView<'_> {
     match c {
-        BundleCell::Det(v) => BoolView::Const(v.as_bool().unwrap_or(false)),
+        BundleCell::Det(v) => BoolView::Const(kleene_f64(v.as_bool())),
         BundleCell::Stoch(xs) => BoolView::Col(xs),
     }
 }
 
+/// A three-valued boolean as a per-world element: 1.0, 0.0, or NaN.
 #[inline]
-fn truthy_f64(x: f64) -> bool {
-    x != 0.0 && !x.is_nan()
+fn kleene_f64(b: Option<bool>) -> f64 {
+    match b {
+        Some(true) => 1.0,
+        Some(false) => 0.0,
+        None => f64::NAN,
+    }
+}
+
+/// Kleene `NOT` on a per-world element: unknown stays unknown.
+#[inline]
+fn not_f64(x: f64) -> f64 {
+    if x.is_nan() {
+        x
+    } else if x != 0.0 {
+        0.0
+    } else {
+        1.0
+    }
+}
+
+/// Kleene `AND` on per-world elements: false if either side is false, else
+/// unknown if either side is unknown, else true.
+#[inline]
+fn and_f64(x: f64, y: f64) -> f64 {
+    if x == 0.0 || y == 0.0 {
+        0.0
+    } else if x.is_nan() || y.is_nan() {
+        f64::NAN
+    } else {
+        1.0
+    }
+}
+
+/// Kleene `OR` on per-world elements: true if either side is true, else
+/// unknown if either side is unknown, else false.
+#[inline]
+fn or_f64(x: f64, y: f64) -> f64 {
+    not_f64(and_f64(not_f64(x), not_f64(y)))
+}
+
+/// Kleene `AND` on deterministic booleans (`None` is NULL) — the truth
+/// table [`Expr::eval_scalar`] applies per world.
+fn and_kleene(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+/// Kleene `OR` on deterministic booleans; see [`and_kleene`].
+fn or_kleene(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    and_kleene(a.map(|p| !p), b.map(|q| !q)).map(|r| !r)
 }
 
 fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -560,6 +616,15 @@ impl Expr {
                 if !numeric {
                     return Err(non_numeric());
                 }
+                // Every argument deterministic: the whole window is one
+                // point, so the model sees its seeds a chunk at a time.
+                if stoch_slots.is_empty() {
+                    out.resize(ctx.n_worlds, 0.0);
+                    eval_derived(&**f, buf, &mut out, |w| {
+                        ctx.seeds.seed(ctx.world_start + w).derive(*site)
+                    });
+                    return Ok(BundleCell::Stoch(out));
+                }
                 for w in 0..ctx.n_worlds {
                     for (slot, col) in &stoch_slots {
                         buf[*slot] = col[w];
@@ -588,16 +653,14 @@ impl Expr {
                     (a, b) => BundleCell::Stoch(cmp_columnar(*op, &a, &b, ctx.n_worlds)?),
                 }
             }
-            Expr::And(l, r) => bool_bundle(l, r, ctx, row, |a, b| a && b)?,
-            Expr::Or(l, r) => bool_bundle(l, r, ctx, row, |a, b| a || b)?,
+            Expr::And(l, r) => bool_bundle(l, r, ctx, row, and_kleene, and_f64)?,
+            Expr::Or(l, r) => bool_bundle(l, r, ctx, row, or_kleene, or_f64)?,
             Expr::Not(e) => match e.eval_bundle(row, ctx)? {
                 BundleCell::Det(v) => BundleCell::Det(match v.as_bool() {
                     Some(b) => Value::Bool(!b),
                     None => Value::Null,
                 }),
-                BundleCell::Stoch(xs) => BundleCell::Stoch(
-                    xs.into_iter().map(|x| if x != 0.0 { 0.0 } else { 1.0 }).collect(),
-                ),
+                BundleCell::Stoch(xs) => BundleCell::Stoch(xs.into_iter().map(not_f64).collect()),
             },
             Expr::Neg(e) => match e.eval_bundle(row, ctx)? {
                 BundleCell::Det(Value::Int(i)) => BundleCell::Det(Value::Int(-i)),
@@ -663,41 +726,31 @@ impl Expr {
     }
 }
 
+/// `AND`/`OR` over bundles in three-valued logic: `det` on two
+/// deterministic booleans, `per_world` on per-world elements (see
+/// [`BoolView`]) — the same truth table, so every world agrees with
+/// [`Expr::eval_scalar`].
 fn bool_bundle(
     l: &Expr,
     r: &Expr,
     ctx: &ExecContext<'_>,
     row: &BundleRow,
-    f: fn(bool, bool) -> bool,
+    det: fn(Option<bool>, Option<bool>) -> Option<bool>,
+    per_world: fn(f64, f64) -> f64,
 ) -> Result<BundleCell> {
     let (a, b) = (l.eval_bundle(row, ctx)?, r.eval_bundle(row, ctx)?);
-    match (a, b) {
-        (BundleCell::Det(x), BundleCell::Det(y)) => {
-            Ok(BundleCell::Det(match (x.as_bool(), y.as_bool()) {
-                (Some(p), Some(q)) => Value::Bool(f(p, q)),
-                _ => Value::Null,
-            }))
-        }
-        (a, b) => {
-            let out = match (bool_view(&a), bool_view(&b)) {
-                (BoolView::Col(xs), BoolView::Col(ys)) => xs
-                    .iter()
-                    .zip(ys)
-                    .map(|(&x, &y)| if f(truthy_f64(x), truthy_f64(y)) { 1.0 } else { 0.0 })
-                    .collect(),
-                (BoolView::Col(xs), BoolView::Const(q)) => {
-                    xs.iter().map(|&x| if f(truthy_f64(x), q) { 1.0 } else { 0.0 }).collect()
-                }
-                (BoolView::Const(p), BoolView::Col(ys)) => {
-                    ys.iter().map(|&y| if f(p, truthy_f64(y)) { 1.0 } else { 0.0 }).collect()
-                }
-                (BoolView::Const(p), BoolView::Const(q)) => {
-                    vec![if f(p, q) { 1.0 } else { 0.0 }; ctx.n_worlds]
-                }
-            };
-            Ok(BundleCell::Stoch(out))
-        }
+    if let (BundleCell::Det(x), BundleCell::Det(y)) = (&a, &b) {
+        return Ok(BundleCell::Det(det(x.as_bool(), y.as_bool()).map_or(Value::Null, Value::Bool)));
     }
+    let out = match (bool_view(&a), bool_view(&b)) {
+        (BoolView::Col(xs), BoolView::Col(ys)) => {
+            xs.iter().zip(ys).map(|(&x, &y)| per_world(x, y)).collect()
+        }
+        (BoolView::Col(xs), BoolView::Const(q)) => xs.iter().map(|&x| per_world(x, q)).collect(),
+        (BoolView::Const(p), BoolView::Col(ys)) => ys.iter().map(|&y| per_world(p, y)).collect(),
+        (BoolView::Const(p), BoolView::Const(q)) => vec![per_world(p, q); ctx.n_worlds],
+    };
+    Ok(BundleCell::Stoch(out))
 }
 
 #[cfg(test)]
@@ -840,6 +893,35 @@ mod tests {
         assert_eq!(e.eval_scalar(&[], &ctx).unwrap(), Value::Null);
         let c = bind(Expr::cmp(CmpOp::Lt, Expr::Lit(Value::Null), Expr::lit_i(1)), &schema, &cat);
         assert_eq!(c.eval_scalar(&[], &ctx).unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn deterministic_connectives_follow_three_valued_logic_on_both_paths() {
+        let (schema, cat, seeds) = setup();
+        let ctx = WorldCtx { world: 0, seeds: &seeds, params: &[] };
+        let bctx = ExecContext::new(seeds, &[], 3);
+        let row = BundleRow::det(vec![Value::Float(0.0), Value::Str("a".into())]);
+        let (t, f, null) = (
+            || Expr::Lit(Value::Bool(true)),
+            || Expr::Lit(Value::Bool(false)),
+            || Expr::Lit(Value::Null),
+        );
+        let and = |a: Expr, b: Expr| Expr::And(Box::new(a), Box::new(b));
+        let or = |a: Expr, b: Expr| Expr::Or(Box::new(a), Box::new(b));
+        let cases = [
+            (and(f(), null()), Value::Bool(false)),
+            (and(null(), f()), Value::Bool(false)),
+            (and(t(), null()), Value::Null),
+            (or(t(), null()), Value::Bool(true)),
+            (or(null(), t()), Value::Bool(true)),
+            (or(f(), null()), Value::Null),
+            (Expr::Not(Box::new(null())), Value::Null),
+        ];
+        for (e, want) in cases {
+            let e = bind(e, &schema, &cat);
+            assert_eq!(e.eval_scalar(&[], &ctx).unwrap(), want, "{e:?}");
+            assert_eq!(e.eval_bundle(&row, &bctx).unwrap(), BundleCell::Det(want), "{e:?}");
+        }
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //! a window of world indices. World `k` always runs under seed `σ_k`, so the
 //! first `m` worlds double as the fingerprint and the remaining `n − m`
 //! complete the estimate with no wasted work.
+//!
+//! A window costs one black-box call, not one per world: [`BlackBoxSim`]
+//! hands the window's seeds to [`BlackBox::eval_seeds`] in one slice, the
+//! bundle engine's calls do the same per stack chunk, and the batched form
+//! returns the per-world values bit for bit.
 
 use std::sync::Arc;
 
 use jigsaw_blackbox::{BlackBox, ParamSpace};
-use jigsaw_prng::SeedSet;
+use jigsaw_prng::{Seed, SeedSet};
 
 use crate::batch::WorldBatch;
 use crate::bundle::BundleCell;
@@ -45,11 +50,42 @@ pub trait Simulation: Send + Sync {
     fn eval_batch(&self, point: &[f64], start: usize, count: usize) -> Result<WorldBatch>;
 }
 
+/// Worlds whose seeds a [`BlackBoxSim`] tabulates: `σ_0 … σ_{L−1}`, at
+/// least the paper's n = 1000 worlds per point. Seeds do not depend on the
+/// point (paper §3.1), so one table built with the simulation serves every
+/// point's fingerprint and completion windows; a window reaching past it
+/// derives its remaining seeds per stack chunk.
+pub const SEED_TABLE_LEN: usize = 1024;
+
+/// Seeds per stack chunk where seeds are derived on the fly: a bundle
+/// call's `σ_k.derive(site)`, or a window past [`SEED_TABLE_LEN`].
+const SEED_CHUNK: usize = 64;
+
+/// `out[i] = f(params, seed_of(i))`, through [`BlackBox::eval_seeds`] once
+/// per stack chunk of seeds (no heap allocation).
+pub(crate) fn eval_derived(
+    f: &dyn BlackBox,
+    params: &[f64],
+    out: &mut [f64],
+    seed_of: impl Fn(usize) -> Seed,
+) {
+    let mut buf = [Seed(0); SEED_CHUNK];
+    for (c, out) in out.chunks_mut(SEED_CHUNK).enumerate() {
+        let seeds = &mut buf[..out.len()];
+        for (i, seed) in seeds.iter_mut().enumerate() {
+            *seed = seed_of(c * SEED_CHUNK + i);
+        }
+        f.eval_seeds(params, seeds, out);
+    }
+}
+
 /// A single black-box function exposed as a one-column simulation — the
 /// shape most of the paper's experiments use.
 pub struct BlackBoxSim {
     bb: Arc<dyn BlackBox>,
     seeds: SeedSet,
+    /// `σ_0 … σ_{L−1}` ([`SEED_TABLE_LEN`]), built once here.
+    seed_table: Box<[Seed]>,
     space: ParamSpace,
     columns: [String; 1],
 }
@@ -58,7 +94,8 @@ impl BlackBoxSim {
     /// Wrap a black box with its parameter space and the session seed set.
     pub fn new(bb: Arc<dyn BlackBox>, space: ParamSpace, seeds: SeedSet) -> Self {
         let name = bb.name().to_string();
-        BlackBoxSim { bb, seeds, space, columns: [name] }
+        let seed_table = (0..SEED_TABLE_LEN).map(|k| seeds.seed(k)).collect();
+        BlackBoxSim { bb, seeds, seed_table, space, columns: [name] }
     }
 }
 
@@ -71,8 +108,18 @@ impl Simulation for BlackBoxSim {
         &self.space
     }
 
+    /// One [`BlackBox::eval_seeds`] call over the window's slice of the
+    /// seed table; worlds past the table take their seeds per chunk.
     fn eval_batch(&self, point: &[f64], start: usize, count: usize) -> Result<WorldBatch> {
-        let col = (start..start + count).map(|k| self.bb.eval(point, self.seeds.seed(k))).collect();
+        let mut col = vec![0.0; count];
+        let tabled = SEED_TABLE_LEN.saturating_sub(start).min(count);
+        let (head, rest) = col.split_at_mut(tabled);
+        if tabled > 0 {
+            self.bb.eval_seeds(point, &self.seed_table[start..start + tabled], head);
+        }
+        if !rest.is_empty() {
+            eval_derived(&*self.bb, point, rest, |i| self.seeds.seed(start + tabled + i));
+        }
         Ok(WorldBatch::from_columns(vec![col], count))
     }
 }
@@ -221,6 +268,25 @@ mod tests {
         let out = sim.eval_batch(&[3.0], 2, 4).unwrap();
         let want: Vec<f64> = (2..6).map(|k| bb.eval(&[3.0], seeds.seed(k))).collect();
         assert_eq!(out.columns(), &[want]);
+    }
+
+    #[test]
+    fn blackbox_sim_windows_across_the_seed_table_match_the_eval_loop() {
+        // Windows inside the table, straddling its end, and wholly past
+        // it: each world still runs under σ_k, whichever way its seed
+        // was found.
+        let seeds = SeedSet::new(12);
+        let bb: Arc<dyn BlackBox> = Arc::new(jigsaw_blackbox::models::SynthBasis::new(3));
+        let sim = BlackBoxSim::new(bb.clone(), space(), seeds);
+        let l = SEED_TABLE_LEN;
+        for (start, count) in [(0, 0), (0, 1000), (l - 10, 10), (l - 70, 200), (l, 65), (5 * l, 3)]
+        {
+            let got = sim.eval_batch(&[4.0], start, count).unwrap();
+            let want: Vec<u64> =
+                (start..start + count).map(|k| bb.eval(&[4.0], seeds.seed(k)).to_bits()).collect();
+            let got: Vec<u64> = got.column(0).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "window {start}+{count}");
+        }
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   *i* consumes the same randomness no matter how the engine reached it
 //!   (simulated stepwise or jumped over, §4).
 //! * [`dist`] — the probability distributions used by the paper's model
-//!   catalog (normal, exponential, Poisson, gamma, categorical, …).
+//!   catalog (normal, exponential, Poisson, gamma, categorical, …), and
+//!   [`dist::Normal::standard_seeded`], which draws one standard normal
+//!   per seed over a whole window in stages — bit-identical to seeding a
+//!   generator per seed and calling [`dist::Normal::standard`], without
+//!   one world's `ln` and `cos` waiting on the previous world's.
 //! * [`stats`] — streaming moments, histograms and goodness-of-fit tests
 //!   used by estimators and by this crate's own test suite.
 //!

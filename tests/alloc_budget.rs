@@ -12,6 +12,11 @@
 //! A third covers the server's read path: one request frame written,
 //! read back and decoded, over an in-memory buffer.
 //!
+//! The rest pin exact counts on the black-box window path: a
+//! `BlackBoxSim` window allocates its column and its batch and nothing per
+//! chunk or per world, a bundle call allocates only its output column, and
+//! mapping a basis's metrics allocates no sample bytes at all.
+//!
 //! A refinement step evaluates one 10-world window and folds it into the
 //! point's samples. A step served from a mapped basis allocates the
 //! window's row, cell, output column and column list, plus an occasional
@@ -22,39 +27,47 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use jigsaw::blackbox::models::{Demand, SynthBasis};
+use jigsaw::blackbox::{ParamDecl, ParamSpace};
 use jigsaw::core::interactive::{InteractiveSession, SessionConfig};
-use jigsaw::core::JigsawConfig;
-use jigsaw::pdb::{DbmsEngine, Simulation};
+use jigsaw::core::{AffineMap, JigsawConfig};
+use jigsaw::pdb::{
+    BlackBoxSim, BundleRow, Catalog, DbmsEngine, ExecContext, Expr, OutputMetrics, Schema,
+    Simulation,
+};
 use jigsaw::prng::SeedSet;
 use jigsaw::server::default_catalog;
 use jigsaw::server::protocol::{read_frame, write_frame};
 use jigsaw::server::Request;
 
 /// [`System`], counting this thread's allocation calls (`alloc`,
-/// `alloc_zeroed` and `realloc`; frees are not counted).
+/// `alloc_zeroed` and `realloc`; frees are not counted) and the bytes they
+/// ask for (a `realloc` counts its new size).
 struct Counting;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the thread-local may already be gone while a thread
     // exits, and an allocation then must not panic.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -65,7 +78,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this allocator, and the
         // caller's guarantees for `layout` and `new_size` pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -77,6 +90,72 @@ static ALLOCATOR: Counting = Counting;
 
 fn calls() -> u64 {
     CALLS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+/// Allocation calls and bytes `f` makes on this thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (c, b) = (calls(), bytes());
+    let r = f();
+    (r, calls() - c, bytes() - b)
+}
+
+/// World counts around the 64-seed chunk, and one window long enough to
+/// reach past a `BlackBoxSim`'s seed table from a late start.
+const WINDOWS: [usize; 4] = [10, 64, 65, 990];
+
+#[test]
+fn a_black_box_window_allocates_its_column_and_its_batch() {
+    let space = ParamSpace::new(vec![ParamDecl::range("p", 0, 99, 1)]);
+    let sim = BlackBoxSim::new(Arc::new(SynthBasis::new(7)), space, SeedSet::new(7));
+    sim.eval_batch(&[3.0], 0, 1).expect("evaluates");
+    for count in WINDOWS {
+        // Inside the seed table, and straddling its end (past it the
+        // seeds are derived per stack chunk).
+        for start in [0, 500] {
+            let (batch, n_calls, n_bytes) = counted(|| sim.eval_batch(&[3.0], start, count));
+            assert_eq!(batch.expect("evaluates").n_worlds(), count);
+            assert_eq!(n_calls, 2, "{count} worlds from {start}: the column and the column list");
+            let want = 8 * count + std::mem::size_of::<Vec<f64>>();
+            assert_eq!(n_bytes, want as u64, "{count} worlds from {start}");
+        }
+    }
+}
+
+#[test]
+fn a_bundle_call_window_allocates_only_its_output_column() {
+    // `Demand(@w, 5)`: every argument deterministic, so the window goes to
+    // the model in stack chunks of seeds. One allocation call, the output
+    // column, exactly as the per-world loop this replaced made.
+    let mut cat = Catalog::new();
+    cat.add_function(Arc::new(Demand::paper()));
+    let call = Expr::call("Demand", vec![Expr::param("w"), Expr::lit_f(5.0)]);
+    let call = call.bind(&Schema::new(vec![]), &["w".to_string()], &cat, &mut 0).expect("binds");
+    let row = BundleRow::det(vec![]);
+    for count in WINDOWS {
+        let ctx = ExecContext::new(SeedSet::new(7), &[12.0], count).with_worlds(40, count);
+        let (cell, n_calls, n_bytes) = counted(|| call.eval_bundle(&row, &ctx));
+        assert!(cell.expect("evaluates").is_stoch());
+        assert_eq!((n_calls, n_bytes), (1, 8 * count as u64), "{count} worlds");
+    }
+}
+
+#[test]
+fn mapping_a_basis_allocates_no_sample_bytes() {
+    // A mapped result shares its basis's sample buffer: `apply_metrics`
+    // (and the `affine_image` under it) allocate nothing, at any n.
+    let map = AffineMap { alpha: 1.5, beta: -2.0 };
+    for n in [10usize, 1000, 10_000] {
+        let basis = OutputMetrics::from_samples((0..n).map(|i| i as f64).collect());
+        let (mapped, n_calls, n_bytes) = counted(|| map.apply_metrics(&basis));
+        assert!(mapped.shares_samples_with(&basis));
+        assert_eq!((n_calls, n_bytes), (0, 0), "n={n}");
+        let (_, n_calls, n_bytes) = counted(|| basis.affine_image(0.5, 1.0));
+        assert_eq!((n_calls, n_bytes), (0, 0), "n={n}");
+    }
 }
 
 const SERVE_SUBSCRIBE: &str = "DECLARE PARAMETER @week AS RANGE 0 TO 159 STEP BY 1; \

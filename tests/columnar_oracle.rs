@@ -265,3 +265,83 @@ fn corner_windows_agree_everywhere() {
     }
     assert_eq!(batch.column(5), &[0.0; 4]);
 }
+
+/// `SELECT <exprs> ` over one row, with `@w` in `0..=9` and the catalog's
+/// black boxes bound, as a simulation on `engine`.
+fn one_row_sim(
+    engine: Arc<dyn Engine>,
+    cat: Arc<Catalog>,
+    exprs: Vec<(&str, Expr)>,
+) -> Box<dyn Simulation> {
+    let plan = Plan::OneRow.project(exprs).bind(&cat, &["w".to_string()]).unwrap();
+    let space = ParamSpace::new(vec![ParamDecl::range("w", 0, 9, 1)]);
+    Box::new(PlanSim::new(engine, plan, cat, space, SeedSet::new(5)))
+}
+
+/// Per-world SQL NULL booleans: `F` is NaN in about a third of the worlds,
+/// so `F(@w) > 1` is NULL there, and every connective must keep SQL's
+/// three-valued logic on the bundle engine as the per-world engine does —
+/// `NOT NULL` is NULL, `NULL AND TRUE` is NULL, `NULL OR FALSE` is NULL,
+/// `FALSE AND NULL` is false.
+#[test]
+fn null_booleans_agree_on_both_engines() {
+    let mut cat = Catalog::new();
+    cat.add_function(Arc::new(FnBlackBox::new("F", 1, |p: &[f64], seed| {
+        if seed.0 % 3 == 0 {
+            f64::NAN
+        } else {
+            p[0] * 0.25 + Normal::standard(&mut Xoshiro256pp::seeded(seed))
+        }
+    })));
+    let cat = Arc::new(cat);
+    let maybe = || Expr::cmp(CmpOp::Gt, Expr::call("F", vec![Expr::param("w")]), Expr::lit_f(1.0));
+    let lit = |b| Expr::Lit(Value::Bool(b));
+    let exprs = || {
+        vec![
+            ("not", Expr::Not(Box::new(maybe()))),
+            ("and_true", Expr::And(Box::new(maybe()), Box::new(lit(true)))),
+            ("or_false", Expr::Or(Box::new(maybe()), Box::new(lit(false)))),
+            ("false_and", Expr::And(Box::new(lit(false)), Box::new(maybe()))),
+            ("true_or", Expr::Or(Box::new(lit(true)), Box::new(maybe()))),
+            ("and_null", Expr::And(Box::new(maybe()), Box::new(Expr::Lit(Value::Null)))),
+            ("both", Expr::Or(Box::new(Expr::Not(Box::new(maybe()))), Box::new(maybe()))),
+        ]
+    };
+    let plan = |engine| one_row_sim(engine, Arc::clone(&cat), exprs());
+    for window in [(0, 1), (0, 64), (9, 33)] {
+        assert_engines_agree(plan, &[4.0], window);
+    }
+    // The cases are live: NULL in some worlds, a truth value in others.
+    let batch = plan(Arc::new(DbmsEngine::new())).eval_batch(&[4.0], 0, 64).unwrap();
+    for (c, (name, _)) in exprs().iter().enumerate().take(3) {
+        let col = batch.column(c);
+        assert!(col.iter().any(|x| x.is_nan()), "{name}: no NULL world");
+        assert!(col.iter().any(|x| !x.is_nan()), "{name}: no known world");
+    }
+    assert!(batch.column(3).iter().all(|&x| x == 0.0), "FALSE AND NULL is false");
+    assert!(batch.column(4).iter().all(|&x| x == 1.0), "TRUE OR NULL is true");
+}
+
+/// The paper models that batch their normal draws (`Demand`,
+/// `SynthBasis`) called from a plan with deterministic arguments: the
+/// bundle engine's one `eval_seeds` call per chunk against the per-world
+/// engine's `eval`, bit for bit, on windows around the 64-seed chunk.
+#[test]
+fn batched_model_calls_agree_on_both_engines() {
+    let mut cat = Catalog::new();
+    cat.add_function(Arc::new(Demand::paper()));
+    cat.add_function(Arc::new(SynthBasis::new(3)));
+    let cat = Arc::new(cat);
+    let exprs = || {
+        vec![
+            ("demand", Expr::call("Demand", vec![Expr::param("w"), Expr::lit_f(5.0)])),
+            ("synth", Expr::call("SynthBasis", vec![Expr::param("w")])),
+        ]
+    };
+    let plan = |engine| one_row_sim(engine, Arc::clone(&cat), exprs());
+    for point in [2.0, 8.0] {
+        for window in [(0, 1), (0, 63), (1, 64), (3, 65), (990, 70)] {
+            assert_engines_agree(plan, &[point], window);
+        }
+    }
+}
