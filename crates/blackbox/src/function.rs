@@ -1,6 +1,6 @@
 //! The black-box function traits.
 
-use jigsaw_prng::Seed;
+use jigsaw_prng::{Seed, Worlds};
 
 /// A parameterized stochastic black-box function (a scalar VG-function).
 ///
@@ -16,14 +16,16 @@ use jigsaw_prng::Seed;
 ///
 /// MCDB invokes a VG function once per tuple for a whole bundle of Monte
 /// Carlo instances; [`eval_seeds`](BlackBox::eval_seeds) is that shape here:
-/// one parameter point, many seeds, one call. Its contract is
-/// `out[i] == eval(params, seeds[i])` **bit for bit**, so a caller may use
-/// either form and get the same bytes. The provided method is the per-seed
-/// `eval` loop; a model overrides it only to compute the same values
-/// faster (`SynthBasis` and `Demand` stage their normal draws through
-/// [`jigsaw_prng::dist::Normal::standard_seeded`]). Wrappers — `&B`,
-/// `Arc<B>`, [`Counted`](crate::Counted) — forward it, so an override is
-/// reached through `Arc<dyn BlackBox>` too.
+/// one parameter point, a [`Worlds`] window, one call. Its contract is
+/// `out[i] == eval(params, worlds.seeds()[i])` **bit for bit**, so a caller
+/// may use either form and get the same bytes. The provided method is the
+/// per-seed `eval` loop; a model overrides it only to compute the same
+/// values faster. `SynthBasis` and `Demand` take their one standard normal
+/// per world from [`Worlds::standard_normals`], which copies it from the
+/// simulation's [`SeedTable`](jigsaw_prng::SeedTable) when the window lies
+/// inside one and runs the staged kernel otherwise. Wrappers — `&B`,
+/// `Arc<B>`, [`Counted`](crate::Counted) — forward the window unchanged, so
+/// an override is reached through `Arc<dyn BlackBox>` too.
 pub trait BlackBox: Send + Sync {
     /// Human-readable name, used in catalogs, plans and reports.
     fn name(&self) -> &str;
@@ -37,15 +39,16 @@ pub trait BlackBox: Send + Sync {
     /// may assert this.
     fn eval(&self, params: &[f64], seed: Seed) -> f64;
 
-    /// Evaluate at `params` once per seed: `out[i] = eval(params, seeds[i])`,
-    /// bit for bit (see the trait docs). The default is that loop.
+    /// Evaluate at `params` once per world of the window:
+    /// `out[i] = eval(params, worlds.seeds()[i])`, bit for bit (see the
+    /// trait docs). The default is that loop.
     ///
     /// # Panics
     ///
-    /// When `seeds` and `out` differ in length.
-    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
-        assert_eq!(seeds.len(), out.len(), "one output per seed");
-        for (o, &seed) in out.iter_mut().zip(seeds) {
+    /// When the window and `out` differ in length.
+    fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
+        assert_eq!(worlds.len(), out.len(), "one output per seed");
+        for (o, &seed) in out.iter_mut().zip(worlds.seeds()) {
             *o = self.eval(params, seed);
         }
     }
@@ -63,8 +66,8 @@ impl<B: BlackBox + ?Sized> BlackBox for &B {
     fn eval(&self, params: &[f64], seed: Seed) -> f64 {
         (**self).eval(params, seed)
     }
-    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
-        (**self).eval_seeds(params, seeds, out)
+    fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
+        (**self).eval_seeds(params, worlds, out)
     }
 }
 
@@ -78,8 +81,8 @@ impl<B: BlackBox + ?Sized> BlackBox for std::sync::Arc<B> {
     fn eval(&self, params: &[f64], seed: Seed) -> f64 {
         (**self).eval(params, seed)
     }
-    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
-        (**self).eval_seeds(params, seeds, out)
+    fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
+        (**self).eval_seeds(params, worlds, out)
     }
 }
 
@@ -203,9 +206,9 @@ mod tests {
         fn eval(&self, _: &[f64], seed: Seed) -> f64 {
             seed.0 as f64
         }
-        fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+        fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
             self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            for (o, &s) in out.iter_mut().zip(seeds) {
+            for (o, &s) in out.iter_mut().zip(worlds.seeds()) {
                 *o = self.eval(params, s);
             }
         }
@@ -218,8 +221,8 @@ mod tests {
         let as_dyn: std::sync::Arc<dyn BlackBox> = inner.clone();
         let by_ref: &dyn BlackBox = &*inner;
         let mut out = [0.0; 3];
-        as_dyn.eval_seeds(&[], &seeds, &mut out);
-        (&by_ref).eval_seeds(&[], &seeds, &mut out);
+        as_dyn.eval_seeds(&[], Worlds::from_seeds(&seeds), &mut out);
+        (&by_ref).eval_seeds(&[], Worlds::from_seeds(&seeds), &mut out);
         assert_eq!(out, [3.0, 5.0, 8.0]);
         assert_eq!(inner.0.load(std::sync::atomic::Ordering::Relaxed), 2, "one call each");
     }
@@ -228,7 +231,7 @@ mod tests {
     #[should_panic(expected = "one output per seed")]
     fn eval_seeds_rejects_mismatched_lengths() {
         let bb = FnBlackBox::new("one", 1, |p: &[f64], _s| p[0]);
-        bb.eval_seeds(&[1.0], &[Seed(0)], &mut [0.0, 0.0]);
+        bb.eval_seeds(&[1.0], Worlds::from_seeds(&[Seed(0)]), &mut [0.0, 0.0]);
     }
 
     #[test]

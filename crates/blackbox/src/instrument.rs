@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jigsaw_prng::Seed;
+use jigsaw_prng::{Seed, Worlds};
 
 use crate::function::{BlackBox, MarkovModel};
 
@@ -49,7 +49,7 @@ impl InvocationCounter {
 }
 
 /// A [`BlackBox`] wrapper that counts invocations: one per `eval`, and
-/// `seeds.len()` per [`BlackBox::eval_seeds`] — a batched call still
+/// `worlds.len()` per [`BlackBox::eval_seeds`] — a batched call still
 /// evaluates the function once per seed, so counts do not depend on which
 /// form a caller used.
 pub struct Counted<B> {
@@ -92,9 +92,9 @@ impl<B: BlackBox> BlackBox for Counted<B> {
         self.counter.bump();
         self.inner.eval(params, seed)
     }
-    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
-        self.counter.bump_by(seeds.len() as u64);
-        self.inner.eval_seeds(params, seeds, out)
+    fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
+        self.counter.bump_by(worlds.len() as u64);
+        self.inner.eval_seeds(params, worlds, out)
     }
 }
 

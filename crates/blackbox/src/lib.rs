@@ -12,9 +12,10 @@
 //! * [`BlackBox`] / [`MarkovModel`] — the two function shapes Jigsaw
 //!   evaluates (one-shot parameterized, and chained Markov-process steps).
 //!   A black box is evaluated per seed ([`BlackBox::eval`]) or per window
-//!   of seeds ([`BlackBox::eval_seeds`], one call for many worlds, as MCDB
-//!   calls a VG function once per tuple bundle); the two agree bit for
-//!   bit, and the wrappers forward the batched form;
+//!   of worlds ([`BlackBox::eval_seeds`] over a [`jigsaw_prng::Worlds`],
+//!   one call for many worlds, as MCDB calls a VG function once per tuple
+//!   bundle); the two agree bit for bit, and the wrappers forward the
+//!   window unchanged;
 //! * [`ParamDecl`] / [`ParamSpace`] — `DECLARE PARAMETER` domains and the
 //!   Cartesian parameter-space enumerator (the *Parameter Enumerator* of
 //!   Figure 3);

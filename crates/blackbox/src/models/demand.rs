@@ -17,7 +17,7 @@
 //!   them. Used in tests and the reuse-ablation experiment.
 
 use jigsaw_prng::dist::{Distribution, Normal};
-use jigsaw_prng::{Seed, Xoshiro256pp};
+use jigsaw_prng::{Seed, Worlds, Xoshiro256pp};
 
 use crate::function::BlackBox;
 use crate::work::Workload;
@@ -98,13 +98,14 @@ impl BlackBox for Demand {
         mu + var.max(0.0).sqrt() * Normal::standard(&mut rng)
     }
 
-    /// The same values as the `eval` loop, bit for bit, with the normal
-    /// draws staged over the whole window (one arity check per call, the
-    /// synthetic work still once per world).
-    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+    /// The same values as the `eval` loop, bit for bit, with the window's
+    /// standard normals read from its seed table or drawn in one staged
+    /// pass (one arity check per call, the synthetic work still once per
+    /// world).
+    fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
         assert_eq!(params.len(), 2, "Demand expects [current_week, feature_release]");
-        seeds.iter().for_each(|_| self.work.burn());
-        Normal::standard_seeded(seeds, out);
+        worlds.seeds().iter().for_each(|_| self.work.burn());
+        worlds.standard_normals(out);
         let (mu, var) = self.moments_at(params[0], params[1]);
         let sd = var.max(0.0).sqrt();
         out.iter_mut().for_each(|z| *z = mu + sd * *z);

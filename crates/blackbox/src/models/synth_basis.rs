@@ -16,7 +16,7 @@
 //! class onto one basis — giving exactly `n_bases` bases per sweep.
 
 use jigsaw_prng::dist::Normal;
-use jigsaw_prng::{Seed, Xoshiro256pp};
+use jigsaw_prng::{Seed, Worlds, Xoshiro256pp};
 
 use crate::function::BlackBox;
 use crate::work::Workload;
@@ -70,13 +70,14 @@ impl BlackBox for SynthBasis {
         self.skin(params[0]).apply(z)
     }
 
-    /// The same values as the `eval` loop, bit for bit, with the normal
-    /// draws staged over the whole window (one arity check per call, the
-    /// synthetic work still once per world).
-    fn eval_seeds(&self, params: &[f64], seeds: &[Seed], out: &mut [f64]) {
+    /// The same values as the `eval` loop, bit for bit, with the window's
+    /// standard normals read from its seed table or drawn in one staged
+    /// pass (one arity check per call, the synthetic work still once per
+    /// world).
+    fn eval_seeds(&self, params: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
         assert_eq!(params.len(), 1, "SynthBasis expects [point]");
-        seeds.iter().for_each(|_| self.work.burn());
-        Normal::standard_seeded(seeds, out);
+        worlds.seeds().iter().for_each(|_| self.work.burn());
+        worlds.standard_normals(out);
         let skin = self.skin(params[0]);
         out.iter_mut().for_each(|x| *x = skin.apply(*x));
     }

@@ -51,7 +51,7 @@
 //!
 //! ## Sketch-then-refine
 //!
-//! With [`JigsawConfig::sketch_budget`] set, [`execute_sketch_refine`]
+//! With [`JigsawConfig::sketch_budget`] set, `execute_sketch_refine`
 //! wraps the wave loop in two passes: a coarse sweep of the whole space at
 //! the sketch budget, then a full-budget re-run of only the surviving
 //! frontier (see [`sketch_frontier`] for the pruning rule). Both passes

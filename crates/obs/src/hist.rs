@@ -1,6 +1,6 @@
 //! Fixed-bucket log2 histograms.
 //!
-//! A [`HistCore`] is 64 atomic buckets plus exact `count`, `sum`, and `max`
+//! A `HistCore` is 64 atomic buckets plus exact `count`, `sum`, and `max`
 //! registers. Values land in the bucket indexed by their bit length
 //! (`64 - leading_zeros`): bucket 0 holds zero, bucket `i` holds
 //! `2^(i-1) ..= 2^i - 1`, and everything with 63 or more significant bits

@@ -1,6 +1,6 @@
 //! Lightweight structured tracing: spans and instant events.
 //!
-//! A span is opened with the [`span!`] macro and records itself when the
+//! A span is opened with the [`span!`](crate::span!) macro and records itself when the
 //! guard drops: name, formatted fields, wall-clock offset from process
 //! start, and duration. Records go to a bounded in-process ring buffer
 //! (for tests and post-mortem inspection) and, when the NDJSON sink is on,
@@ -113,7 +113,7 @@ fn record(event: TraceEvent) {
     ring.push_back(event);
 }
 
-/// A field value in a [`span!`]/[`event!`] invocation, rendered as JSON.
+/// A field value in a [`span!`](crate::span!)/[`event!`](crate::event!) invocation, rendered as JSON.
 #[derive(Debug, Clone)]
 pub enum Field {
     /// Unsigned integers (`u64`, `usize`, ...).
@@ -183,7 +183,7 @@ impl From<bool> for Field {
 }
 
 /// RAII guard for an open span; records a [`TraceEvent`] on drop when
-/// tracing is enabled. Construct with [`span!`], not directly.
+/// tracing is enabled. Construct with [`span!`](crate::span!), not directly.
 pub struct SpanGuard {
     state: Option<TraceEvent>,
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::schema::ColumnType;
+
 /// Errors surfaced by planning and execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PdbError {
@@ -29,6 +31,16 @@ pub enum PdbError {
     Unsupported(String),
     /// A type error during evaluation.
     TypeError(String),
+    /// A boolean connective (`AND`, `OR`, `NOT`) over an operand whose
+    /// static type is not boolean (a NULL literal is allowed). The
+    /// engines would read such an operand differently, so binding refuses
+    /// it.
+    NonBooleanOperand {
+        /// The connective.
+        op: &'static str,
+        /// The operand's static type.
+        found: ColumnType,
+    },
     /// Loading or saving a basis snapshot failed (the stringified
     /// `jigsaw_core::basis::SnapshotError`; typed handling lives upstream).
     Snapshot(String),
@@ -68,6 +80,9 @@ impl fmt::Display for PdbError {
             }
             PdbError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             PdbError::TypeError(msg) => write!(f, "type error: {msg}"),
+            PdbError::NonBooleanOperand { op, found } => {
+                write!(f, "type error: `{op}` needs boolean operands, got {found:?}")
+            }
             PdbError::Snapshot(msg) => write!(f, "basis snapshot: {msg}"),
             PdbError::Protocol(msg) => write!(f, "protocol: {msg}"),
             PdbError::WorkerPanic(msg) => {
@@ -96,6 +111,10 @@ mod tests {
             "`F` expects 2 argument(s), got 3"
         );
         assert_eq!(PdbError::UnknownParam("p".into()).to_string(), "unknown parameter `@p`");
+        assert_eq!(
+            PdbError::NonBooleanOperand { op: "AND", found: ColumnType::Float }.to_string(),
+            "type error: `AND` needs boolean operands, got Float"
+        );
         assert_eq!(
             PdbError::Protocol("frame truncated".into()).to_string(),
             "protocol: frame truncated"

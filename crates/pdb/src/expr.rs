@@ -33,7 +33,8 @@ use crate::bundle::{BundleCell, BundleRow};
 use crate::catalog::Catalog;
 use crate::error::{PdbError, Result};
 use crate::exec::ExecContext;
-use crate::schema::Schema;
+use crate::plan::infer_type;
+use crate::schema::{ColumnType, Schema};
 use crate::sim::eval_derived;
 use crate::value::Value;
 
@@ -209,6 +210,11 @@ impl Expr {
 
     /// Resolve names against `schema` and `params`, assign call-site ids
     /// from `next_site`, and verify function arity against `catalog`.
+    ///
+    /// `AND`, `OR` and `NOT` take only boolean operands (or a NULL
+    /// literal): anything else is [`PdbError::NonBooleanOperand`], because
+    /// the per-world engine reads a number there as NULL and the bundle
+    /// engine as a truth value.
     pub fn bind(
         &self,
         schema: &Schema,
@@ -260,14 +266,14 @@ impl Expr {
                 r.bind(schema, params, catalog, next_site)?,
             ),
             Expr::And(l, r) => Expr::And(
-                Box::new(l.bind(schema, params, catalog, next_site)?),
-                Box::new(r.bind(schema, params, catalog, next_site)?),
+                l.bind_boolean("AND", schema, params, catalog, next_site)?,
+                r.bind_boolean("AND", schema, params, catalog, next_site)?,
             ),
             Expr::Or(l, r) => Expr::Or(
-                Box::new(l.bind(schema, params, catalog, next_site)?),
-                Box::new(r.bind(schema, params, catalog, next_site)?),
+                l.bind_boolean("OR", schema, params, catalog, next_site)?,
+                r.bind_boolean("OR", schema, params, catalog, next_site)?,
             ),
-            Expr::Not(e) => Expr::Not(Box::new(e.bind(schema, params, catalog, next_site)?)),
+            Expr::Not(e) => Expr::Not(e.bind_boolean("NOT", schema, params, catalog, next_site)?),
             Expr::Neg(e) => Expr::Neg(Box::new(e.bind(schema, params, catalog, next_site)?)),
             Expr::Case { whens, otherwise } => Expr::Case {
                 whens: whens
@@ -285,6 +291,24 @@ impl Expr {
                 },
             },
         })
+    }
+
+    /// Bind `self` as an operand of the connective `op`: its static type
+    /// ([`infer_type`]) must be boolean, or it must be the NULL literal.
+    fn bind_boolean(
+        &self,
+        op: &'static str,
+        schema: &Schema,
+        params: &[String],
+        catalog: &Catalog,
+        next_site: &mut u64,
+    ) -> Result<Box<Expr>> {
+        let e = self.bind(schema, params, catalog, next_site)?;
+        match infer_type(&e, schema) {
+            ColumnType::Bool => Ok(Box::new(e)),
+            _ if e == Expr::Lit(Value::Null) => Ok(Box::new(e)),
+            found => Err(PdbError::NonBooleanOperand { op, found }),
+        }
     }
 
     /// True when the expression's value can vary across worlds (contains a
@@ -922,6 +946,47 @@ mod tests {
             assert_eq!(e.eval_scalar(&[], &ctx).unwrap(), want, "{e:?}");
             assert_eq!(e.eval_bundle(&row, &bctx).unwrap(), BundleCell::Det(want), "{e:?}");
         }
+    }
+
+    #[test]
+    fn connectives_refuse_non_boolean_operands_at_bind() {
+        let (schema, cat, _) = setup();
+        let noise = || Expr::call("Noise", vec![Expr::param("w")]);
+        let t = || Expr::Lit(Value::Bool(true));
+        let and = |a: Expr, b: Expr| Expr::And(Box::new(a), Box::new(b));
+        let or = |a: Expr, b: Expr| Expr::Or(Box::new(a), Box::new(b));
+        let bind_err = |e: Expr| e.bind(&schema, &["w".to_string()], &cat, &mut 0).unwrap_err();
+        let cases = [
+            // `F(@w) AND TRUE`: a stochastic number, either side.
+            (and(noise(), t()), "AND", ColumnType::Float),
+            (and(t(), noise()), "AND", ColumnType::Float),
+            (or(Expr::lit_i(1), t()), "OR", ColumnType::Int),
+            (Expr::Not(Box::new(Expr::col("x"))), "NOT", ColumnType::Float),
+            (Expr::Not(Box::new(Expr::col("label"))), "NOT", ColumnType::Str),
+            (Expr::Not(Box::new(Expr::param("w"))), "NOT", ColumnType::Float),
+        ];
+        for (e, op, found) in cases {
+            assert_eq!(bind_err(e), PdbError::NonBooleanOperand { op, found });
+        }
+        // Booleans by type (comparisons, nested connectives, boolean
+        // literals) and the NULL literal still bind.
+        let gt = || Expr::cmp(CmpOp::Gt, noise(), Expr::lit_f(1.0));
+        for e in [and(gt(), t()), or(and(gt(), Expr::Lit(Value::Null)), Expr::Not(Box::new(gt())))]
+        {
+            bind(e, &schema, &cat);
+        }
+        // Building a plan goes through the same check, and a projected
+        // stochastic comparison stays boolean for the connective above it.
+        let params = ["w".to_string()];
+        let plan = crate::plan::Plan::OneRow.project(vec![("out", and(noise(), t()))]);
+        assert_eq!(
+            plan.bind(&cat, &params).unwrap_err(),
+            PdbError::NonBooleanOperand { op: "AND", found: ColumnType::Float }
+        );
+        let flagged = crate::plan::Plan::OneRow
+            .project(vec![("big", gt())])
+            .project(vec![("out", and(Expr::col("big"), t()))]);
+        assert!(flagged.bind(&cat, &params).is_ok());
     }
 
     #[test]

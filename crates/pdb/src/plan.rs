@@ -136,7 +136,10 @@ pub(crate) fn sort_order(keys: &[(Expr, bool)], a: &[Value], b: &[Value]) -> Ord
     Ordering::Equal
 }
 
-fn infer_type(e: &Expr, input: &Schema) -> ColumnType {
+/// The static type of a bound expression over `input`: what the schema of
+/// a projection records, and what a boolean connective requires of its
+/// operands ([`Expr::bind`]).
+pub(crate) fn infer_type(e: &Expr, input: &Schema) -> ColumnType {
     match e {
         Expr::Lit(Value::Bool(_)) => ColumnType::Bool,
         Expr::Lit(Value::Int(_)) => ColumnType::Int,
@@ -208,8 +211,14 @@ impl Plan {
                 for (name, e) in exprs {
                     let be = e.bind(&in_schema, params, catalog, next_site)?;
                     let uncertain = be.is_stochastic(&in_schema);
-                    let ty =
-                        if uncertain { ColumnType::Float } else { infer_type(&be, &in_schema) };
+                    // A per-world value is held as `f64`, so an uncertain
+                    // column is `Float`, except that a boolean stays
+                    // `Bool`: connectives over the column still bind.
+                    let ty = match infer_type(&be, &in_schema) {
+                        ColumnType::Bool => ColumnType::Bool,
+                        ty if !uncertain => ty,
+                        _ => ColumnType::Float,
+                    };
                     cols.push(Column { name: name.clone(), ty, uncertain });
                     bound.push((name.clone(), be));
                 }

@@ -13,14 +13,15 @@
 //! complete the estimate with no wasted work.
 //!
 //! A window costs one black-box call, not one per world: [`BlackBoxSim`]
-//! hands the window's seeds to [`BlackBox::eval_seeds`] in one slice, the
-//! bundle engine's calls do the same per stack chunk, and the batched form
-//! returns the per-world values bit for bit.
+//! hands the window to [`BlackBox::eval_seeds`] as one [`Worlds`] window
+//! of its [`SeedTable`], the bundle engine's calls pass seed-only windows
+//! per stack chunk, and the batched form returns the per-world values bit
+//! for bit.
 
 use std::sync::Arc;
 
 use jigsaw_blackbox::{BlackBox, ParamSpace};
-use jigsaw_prng::{Seed, SeedSet};
+use jigsaw_prng::{Seed, SeedSet, SeedTable, Worlds};
 
 use crate::batch::WorldBatch;
 use crate::bundle::BundleCell;
@@ -50,11 +51,13 @@ pub trait Simulation: Send + Sync {
     fn eval_batch(&self, point: &[f64], start: usize, count: usize) -> Result<WorldBatch>;
 }
 
-/// Worlds whose seeds a [`BlackBoxSim`] tabulates: `σ_0 … σ_{L−1}`, at
-/// least the paper's n = 1000 worlds per point. Seeds do not depend on the
-/// point (paper §3.1), so one table built with the simulation serves every
-/// point's fingerprint and completion windows; a window reaching past it
-/// derives its remaining seeds per stack chunk.
+/// Worlds a [`BlackBoxSim`] tabulates: `σ_0 … σ_{L−1}` and each seed's
+/// standard normal, at least the paper's n = 1000 worlds per point. Neither
+/// depends on the point (paper §3.1), so one [`SeedTable`] built with the
+/// simulation serves every point's fingerprint and completion windows: a
+/// model that reads its normals from the window draws none of them again.
+/// A window reaching past the table derives its remaining seeds per stack
+/// chunk, and those worlds draw their normals per call.
 pub const SEED_TABLE_LEN: usize = 1024;
 
 /// Seeds per stack chunk where seeds are derived on the fly: a bundle
@@ -62,7 +65,8 @@ pub const SEED_TABLE_LEN: usize = 1024;
 const SEED_CHUNK: usize = 64;
 
 /// `out[i] = f(params, seed_of(i))`, through [`BlackBox::eval_seeds`] once
-/// per stack chunk of seeds (no heap allocation).
+/// per stack chunk of seeds, each a seed-only [`Worlds`] window (no heap
+/// allocation).
 pub(crate) fn eval_derived(
     f: &dyn BlackBox,
     params: &[f64],
@@ -75,7 +79,7 @@ pub(crate) fn eval_derived(
         for (i, seed) in seeds.iter_mut().enumerate() {
             *seed = seed_of(c * SEED_CHUNK + i);
         }
-        f.eval_seeds(params, seeds, out);
+        f.eval_seeds(params, Worlds::from_seeds(seeds), out);
     }
 }
 
@@ -84,8 +88,9 @@ pub(crate) fn eval_derived(
 pub struct BlackBoxSim {
     bb: Arc<dyn BlackBox>,
     seeds: SeedSet,
-    /// `σ_0 … σ_{L−1}` ([`SEED_TABLE_LEN`]), built once here.
-    seed_table: Box<[Seed]>,
+    /// `σ_0 … σ_{L−1}` and their normals ([`SEED_TABLE_LEN`]), built once
+    /// here.
+    table: SeedTable,
     space: ParamSpace,
     columns: [String; 1],
 }
@@ -94,8 +99,8 @@ impl BlackBoxSim {
     /// Wrap a black box with its parameter space and the session seed set.
     pub fn new(bb: Arc<dyn BlackBox>, space: ParamSpace, seeds: SeedSet) -> Self {
         let name = bb.name().to_string();
-        let seed_table = (0..SEED_TABLE_LEN).map(|k| seeds.seed(k)).collect();
-        BlackBoxSim { bb, seeds, seed_table, space, columns: [name] }
+        let table = SeedTable::new(seeds, SEED_TABLE_LEN);
+        BlackBoxSim { bb, seeds, table, space, columns: [name] }
     }
 }
 
@@ -108,14 +113,14 @@ impl Simulation for BlackBoxSim {
         &self.space
     }
 
-    /// One [`BlackBox::eval_seeds`] call over the window's slice of the
-    /// seed table; worlds past the table take their seeds per chunk.
+    /// One [`BlackBox::eval_seeds`] call over the window's part of the seed
+    /// table; worlds past the table take seed-only windows per chunk.
     fn eval_batch(&self, point: &[f64], start: usize, count: usize) -> Result<WorldBatch> {
         let mut col = vec![0.0; count];
         let tabled = SEED_TABLE_LEN.saturating_sub(start).min(count);
         let (head, rest) = col.split_at_mut(tabled);
         if tabled > 0 {
-            self.bb.eval_seeds(point, &self.seed_table[start..start + tabled], head);
+            self.bb.eval_seeds(point, self.table.window(start, tabled), head);
         }
         if !rest.is_empty() {
             eval_derived(&*self.bb, point, rest, |i| self.seeds.seed(start + tabled + i));
@@ -287,6 +292,69 @@ mod tests {
             let got: Vec<u64> = got.column(0).iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want, "window {start}+{count}");
         }
+    }
+
+    #[test]
+    fn a_window_straddling_the_table_end_is_the_eval_loop_for_every_model_shape() {
+        // Worlds 1000..1050: 24 read from the table, 26 past its end.
+        use jigsaw_blackbox::models::{Demand, SynthBasis};
+        use jigsaw_blackbox::Counted;
+        let seeds = SeedSet::new(21);
+        let counted = Arc::new(Counted::new(Demand::enterprise()));
+        let models: [(Arc<dyn BlackBox>, Vec<f64>); 4] = [
+            (Arc::new(SynthBasis::new(4)), vec![6.0]),
+            (Arc::new(Demand::paper()), vec![30.0, 12.0]),
+            (Arc::new(FnBlackBox::new("F", 1, |p: &[f64], s| p[0] + (s.0 % 9) as f64)), vec![2.0]),
+            (counted.clone(), vec![20.0, 10.0]),
+        ];
+        for (bb, point) in models {
+            let sim = BlackBoxSim::new(bb.clone(), space(), seeds);
+            let got = sim.eval_batch(&point, 1000, 50).unwrap();
+            let want: Vec<u64> =
+                (1000..1050).map(|k| bb.eval(&point, seeds.seed(k)).to_bits()).collect();
+            let got: Vec<u64> = got.column(0).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{}", bb.name());
+        }
+        // `Counted` still counts one invocation per world, tabled or not.
+        let sim = BlackBoxSim::new(counted.clone(), space(), seeds);
+        let before = counted.counter().get();
+        sim.eval_batch(&[20.0, 10.0], 1000, 50).unwrap();
+        assert_eq!(counted.counter().get() - before, 50);
+    }
+
+    #[test]
+    fn table_worlds_arrive_with_their_normals_and_the_rest_without() {
+        // Records each window's length and whether it came from the table.
+        struct Windows(std::sync::Mutex<Vec<(usize, bool)>>);
+        impl BlackBox for Windows {
+            fn name(&self) -> &str {
+                "W"
+            }
+            fn arity(&self) -> usize {
+                0
+            }
+            fn eval(&self, _: &[f64], seed: Seed) -> f64 {
+                seed.0 as f64
+            }
+            fn eval_seeds(&self, _: &[f64], worlds: Worlds<'_>, out: &mut [f64]) {
+                self.0.lock().unwrap().push((worlds.len(), worlds.is_tabled()));
+                worlds.standard_normals(out);
+            }
+        }
+        let seeds = SeedSet::new(3);
+        let bb = Arc::new(Windows(Default::default()));
+        let sim = BlackBoxSim::new(bb.clone(), space(), seeds);
+        let l = SEED_TABLE_LEN;
+        for (start, count) in [(0, 1000), (1000, 50), (l, 70)] {
+            let got = sim.eval_batch(&[], start, count).unwrap();
+            let mut want = vec![0.0; count];
+            let window: Vec<Seed> = (start..start + count).map(|k| seeds.seed(k)).collect();
+            Worlds::from_seeds(&window).standard_normals(&mut want);
+            assert_eq!(got.column(0), &want[..], "window {start}+{count}");
+        }
+        let windows = bb.0.lock().unwrap().clone();
+        let want = [(1000, true), (24, true), (26, false), (64, false), (6, false)];
+        assert_eq!(windows, want);
     }
 
     #[test]

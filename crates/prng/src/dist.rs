@@ -28,6 +28,13 @@
 //! chunks, so independent worlds overlap in the pipeline. It performs the
 //! same IEEE operations on the same inputs as [`Normal::standard`] does
 //! per seed, so each element is **bit-identical** to the per-world draw.
+//!
+//! The kernel runs only where no table holds the draws. A world's standard
+//! normal depends on its seed alone, so a [`SeedTable`](crate::SeedTable)
+//! draws `σ_0 … σ_{L−1}`'s once per simulation, and a window inside it
+//! ([`Worlds::standard_normals`](crate::Worlds::standard_normals)) copies
+//! them: the kernel then serves only worlds past the table and derived
+//! (call-site) seeds.
 
 use crate::{Rng, Seed, Xoshiro256pp};
 

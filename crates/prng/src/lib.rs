@@ -21,6 +21,10 @@
 //!   per seed over a whole window in stages — bit-identical to seeding a
 //!   generator per seed and calling [`dist::Normal::standard`], without
 //!   one world's `ln` and `cos` waiting on the previous world's.
+//! * [`SeedTable`] / [`Worlds`] — the first `L` seeds of a seed set with
+//!   each seed's standard normal drawn once, and the window of worlds a
+//!   batched black-box call receives: seeds, plus their normals when the
+//!   window lies inside a table (see [`worlds`]).
 //! * [`stats`] — streaming moments, histograms and goodness-of-fit tests
 //!   used by estimators and by this crate's own test suite.
 //!
@@ -50,11 +54,13 @@ pub mod dist;
 pub mod seed;
 pub mod splitmix;
 pub mod stats;
+pub mod worlds;
 pub mod xoshiro;
 
 pub use counter::stream_seed;
 pub use seed::{Seed, SeedSet};
 pub use splitmix::SplitMix64;
+pub use worlds::{SeedTable, Worlds};
 pub use xoshiro::Xoshiro256pp;
 
 /// A deterministic pseudo-random generator.

@@ -3,9 +3,9 @@
 //! Black-box models are native code, so they cannot travel over the wire;
 //! a server instance exposes a fixed, named catalog and clients reference
 //! its functions from their scenario scripts. The default catalog carries
-//! the paper's models; embedders pass their own
-//! [`Catalog`](jigsaw_pdb::Catalog) to
-//! [`JigsawServer::bind`](crate::JigsawServer::bind) for custom workloads.
+//! the paper's models; embedders pass their own [`Catalog`] to
+//! [`ServerBuilder::catalog`](crate::ServerBuilder::catalog) for custom
+//! workloads.
 
 use std::sync::Arc;
 

@@ -2,22 +2,22 @@
 //! driver behind the `jigsaw-client` binary and the golden-transcript CI
 //! gate.
 //!
-//! A client reads every reply through a receive buffer
-//! ([`FrameBuf`](crate::protocol::FrameBuf)), like the server's end of the
-//! connection, so a reply that has fully arrived costs one `read` and the
-//! next frame of a `SUBSCRIBE` stream, if it came with the last, costs none.
+//! A client reads every reply through a receive buffer (the protocol's
+//! `FrameBuf`), like the server's end of the connection, so a reply that
+//! has fully arrived costs one `read` and the next frame of a `SUBSCRIBE`
+//! stream, if it came with the last, costs none.
 //! It waits for a reply with the server's wait routine, buffered bytes
 //! first: a waiter that finds its buffer empty either polls the socket or
 //! parks in a blocking `read`.
 //!
 //! Parking costs a wake of an idle core, a few µs that a client sending
 //! request after request pays on every one. So a client is **hot** — it
-//! polls, for at most [`SPIN_BUDGET`], yielding between polls — only while
-//! its polls keep succeeding. A poll that runs out parks the client, and a
-//! cold client probes again once every [`REPROBE_EVERY`] waits. A
-//! closed-loop client of a warm server stays hot; an open-loop one, whose
-//! replies mostly take longer than the budget because the server's thread
-//! parked too, parks on most of its waits.
+//! polls, for at most `SPIN_BUDGET` (25 µs), yielding between polls —
+//! only while its polls keep succeeding. A poll that runs out parks the
+//! client, and a cold client probes again once every `REPROBE_EVERY` (16)
+//! waits. A closed-loop client of a warm server stays hot; an open-loop
+//! one, whose replies mostly take longer than the budget because the
+//! server's thread parked too, parks on most of its waits.
 //! At most `available_parallelism − 1` clients in the process (at least 1)
 //! poll at once, on slots of their own, apart from any server's; a client
 //! that finds them taken parks. The socket is blocking again before every

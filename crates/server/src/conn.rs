@@ -866,6 +866,26 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn a_connective_over_a_number_is_a_compile_error() {
+        // `AND` over a stochastic number has no one meaning across the
+        // engines, so COMPILE refuses it with its type.
+        let state = JigsawServer::builder().bind("127.0.0.1:0").expect("bind").state;
+        let (mut conn, _client) = pair();
+        let src = "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1; \
+             SELECT Demand(@w, 2) AND TRUE AS flag INTO results;";
+        match request(&mut conn, &state, Request::Compile { src: src.into() }) {
+            Response::Error { code: ErrorCode::Compile, message } => {
+                assert!(message.contains("`AND` needs boolean operands"), "{message}");
+            }
+            other => panic!("expected ERR compile, got {other:?}"),
+        }
+        assert!(matches!(
+            request(&mut conn, &state, Request::Compile { src: SRC.into() }),
+            Response::Compiled { .. }
+        ));
+    }
+
     /// A store key holds the scenario text itself, so distinct scenarios
     /// never share a store however their hashes fall, while snapshot names
     /// and headers keep the hashed scope they always had.

@@ -14,8 +14,10 @@
 //!
 //! The rest pin exact counts on the black-box window path: a
 //! `BlackBoxSim` window allocates its column and its batch and nothing per
-//! chunk or per world, a bundle call allocates only its output column, and
-//! mapping a basis's metrics allocates no sample bytes at all.
+//! chunk or per world (inside its seed table or past it), a bundle call
+//! allocates only its output column, and mapping a basis's metrics
+//! allocates no sample bytes at all. Two whole sweeps at `threads = 1`
+//! pin the calls a reused point and a fresh point each cost.
 //!
 //! A refinement step evaluates one 10-world window and folds it into the
 //! point's samples. A step served from a mapped basis allocates the
@@ -28,14 +30,15 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use jigsaw::blackbox::models::{Demand, SynthBasis};
-use jigsaw::blackbox::{ParamDecl, ParamSpace};
+use jigsaw::blackbox::{FnBlackBox, ParamDecl, ParamSpace};
 use jigsaw::core::interactive::{InteractiveSession, SessionConfig};
-use jigsaw::core::{AffineMap, JigsawConfig};
+use jigsaw::core::{AffineMap, JigsawConfig, SweepRunner};
 use jigsaw::pdb::{
     BlackBoxSim, BundleRow, Catalog, DbmsEngine, ExecContext, Expr, OutputMetrics, Schema,
     Simulation,
 };
-use jigsaw::prng::SeedSet;
+use jigsaw::prng::dist::Normal;
+use jigsaw::prng::{SeedSet, Xoshiro256pp};
 use jigsaw::server::default_catalog;
 use jigsaw::server::protocol::{read_frame, write_frame};
 use jigsaw::server::Request;
@@ -113,9 +116,9 @@ fn a_black_box_window_allocates_its_column_and_its_batch() {
     let sim = BlackBoxSim::new(Arc::new(SynthBasis::new(7)), space, SeedSet::new(7));
     sim.eval_batch(&[3.0], 0, 1).expect("evaluates");
     for count in WINDOWS {
-        // Inside the seed table, and straddling its end (past it the
-        // seeds are derived per stack chunk).
-        for start in [0, 500] {
+        // Inside the seed table, straddling its end, and wholly past it
+        // (past it the seeds are derived per stack chunk).
+        for start in [0, 500, 2000] {
             let (batch, n_calls, n_bytes) = counted(|| sim.eval_batch(&[3.0], start, count));
             assert_eq!(batch.expect("evaluates").n_worlds(), count);
             assert_eq!(n_calls, 2, "{count} worlds from {start}: the column and the column list");
@@ -281,4 +284,50 @@ fn a_frame_round_trip_stays_within_its_allocation_budget() {
         "{total} allocation calls over {} frame round trips exceed the budget of {FRAME_BUDGET}",
         2 * TRIPS
     );
+}
+
+/// Allocation calls of one whole sweep of `sim` at `threads = 1`, runner,
+/// pool and stores included. A first, uncounted sweep does the process's
+/// one-time set-up (metric series and the like), which would otherwise
+/// land in whichever test reached it first.
+fn sweep_calls(sim: &BlackBoxSim) -> u64 {
+    let cfg = Arc::new(JigsawConfig::paper().with_threads(1));
+    SweepRunner::new(cfg.clone()).run(sim).expect("sweeps");
+    let (result, n_calls, _) = counted(|| SweepRunner::new(cfg).run(sim).expect("sweeps"));
+    assert_eq!(result.stats.full_simulations + result.stats.reused, result.stats.points);
+    n_calls
+}
+
+fn range(points: usize) -> ParamSpace {
+    ParamSpace::new(vec![ParamDecl::range("p", 0, points as i64 - 1, 1)])
+}
+
+#[test]
+fn a_reused_point_costs_eight_allocation_calls() {
+    // `SynthBasis(5)`: five points become bases, every other point maps
+    // onto one, so doubling the points adds only reused points.
+    let reuse = |points| {
+        let sim = BlackBoxSim::new(Arc::new(SynthBasis::new(5)), range(points), SeedSet::new(7));
+        sweep_calls(&sim)
+    };
+    let (small, large) = (reuse(50), reuse(100));
+    assert_eq!(small, 468, "50 points, 45 of them reused");
+    assert_eq!(large - small, 8 * 50, "8 calls per reused point");
+}
+
+#[test]
+fn a_fresh_point_costs_fifteen_allocation_calls() {
+    // E12's reuse-hostile `z + (p+1)·z³ + p/N`: no two points are affine
+    // images, so every point is a full simulation and a new basis.
+    let hostile = |points: usize| {
+        let n = points as f64;
+        let ramp = FnBlackBox::new("Ramp", 1, move |p: &[f64], seed| {
+            let z = Normal::standard(&mut Xoshiro256pp::seeded(seed));
+            z + (p[0] + 1.0) * z * z * z + p[0] / n
+        });
+        sweep_calls(&BlackBoxSim::new(Arc::new(ramp), range(points), SeedSet::new(7)))
+    };
+    let (small, large) = (hostile(40), hostile(80));
+    assert_eq!(small, 640, "40 points, none reused");
+    assert_eq!(large - small, 15 * 40, "15 calls per fresh point");
 }
